@@ -5,6 +5,7 @@ class-wise attribution objective."""
 from ._kernels import BACKEND as kernel_backend
 from .blackbox import (
     Model,
+    ModelOutputError,
     TopKConfig,
     VictimSpec,
     WrappedModel,
@@ -75,6 +76,7 @@ __all__ = [
     "ExtractionReport",
     "MaskerSpec",
     "Model",
+    "ModelOutputError",
     "ObjectiveWeights",
     "PartitionTree",
     "QueryLedger",

@@ -1,8 +1,11 @@
 """Pure numpy implementations of the hot kernels.
 
-These mirror owenexplain._kernels._compiled operation for operation. Tap
+These compute what owenexplain._kernels._compiled computes. Tap
 accumulation in the blur runs in the same ascending-offset order as the C
-loop so both backends agree to the last few ulps.
+loop so both backends agree to the last few ulps. The subset-table
+Shapley kernel loops over atoms only: each atom's pass splits the table
+into the masks without and with that atom by a reshape and takes one dot
+product, so it agrees with the C loop to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -72,16 +75,21 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (size,):
         raise ValueError("value table must have length 2**n")
-    counts = popcounts(n)
     lg = [math.lgamma(k + 1) for k in range(n + 1)]
     weights = np.array(
         [math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)], dtype=np.float64
     )
-    masks = np.arange(size, dtype=np.uint32)
+    # Weight of each mask by its size; size n (the full mask) always holds
+    # atom i, so it is never read.
+    mask_weights = np.append(weights, 0.0)[popcounts(n)]
     phi = np.empty(n, dtype=np.float64)
     for i in range(n):
-        bit = np.uint32(1 << i)
-        without = masks[(masks & bit) == 0]
-        gains = values[without | bit] - values[without]
-        phi[i] = float(np.dot(weights[counts[without]], gains))
+        # Axis 1 splits every mask by bit i: [:, 0] lacks atom i, [:, 1]
+        # holds it, both in ascending mask order. Both dot operands are
+        # contiguous copies: a strided operand takes another BLAS path,
+        # which sums in another order.
+        split = values.reshape(-1, 2, 1 << i)
+        gains = (split[:, 1] - split[:, 0]).flatten()
+        without = mask_weights.reshape(-1, 2, 1 << i)[:, 0].flatten()
+        phi[i] = float(np.dot(without, gains))
     return phi

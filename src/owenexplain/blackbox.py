@@ -18,6 +18,11 @@ from .core import QueryLedger, check_shape, make_rng
 _PROB_ATOL = 1e-9
 
 
+class ModelOutputError(ValueError):
+    """A model returned outputs of the wrong shape or with non-finite
+    entries (CLI exit code 5)."""
+
+
 class Model:
     """Deterministic probabilistic classifier over flat inputs."""
 

@@ -3,7 +3,8 @@
 Subcommands: explain, oracle (shapley | owen | group-uniform), synth,
 extract. Every run is a pure function of (config, seed): re-running with
 the same inputs reproduces byte-identical output files at any worker
-count. Exit codes: 0 ok, 2 config error, 3 budget below minimum, 4 I/O.
+count. Exit codes: 0 ok, 2 config error, 3 budget below minimum, 4 I/O,
+5 model output not finite or mis-shaped.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .blackbox import make_victim
+from .blackbox import ModelOutputError, make_victim
 from .core import ConfigError, QueryLedger, build_partition_tree, derive_seed, make_rng
 from .explainer import BudgetTooSmall, ExplainConfig, explain, explain_all_classes
 from .objectives import normalize_shap
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except ModelOutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -234,12 +234,13 @@ class QueryLedger:
     """Monotone counter of black-box evaluations against a hard budget.
 
     budget=None means unlimited. Charging is atomic; a failed charge
-    leaves the state unchanged and returns False.
+    leaves the state unchanged and returns False. by_tag holds the
+    evaluations charged under each tag.
     """
 
     budget: int | None = None
     evals_used: int = 0
-    log: list[tuple[str, int]] = field(default_factory=list)
+    by_tag: dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
@@ -259,7 +260,7 @@ class QueryLedger:
             if self.budget is not None and self.evals_used + n > self.budget:
                 return False
             self.evals_used += n
-            self.log.append((tag, n))
+            self.by_tag[tag] = self.by_tag.get(tag, 0) + n
             return True
 
     def charge(self, n: int, tag: str) -> None:
@@ -271,7 +272,7 @@ class QueryLedger:
 
     def used_by_tag(self, tag: str) -> int:
         with self._lock:
-            return sum(n for t, n in self.log if t == tag)
+            return self.by_tag.get(tag, 0)
 
 
 # Seed derivation: splitmix64 chain over the base seed and per-purpose

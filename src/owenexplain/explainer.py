@@ -119,8 +119,8 @@ def _explain_vector(
         ledger.charge(len(miss), "explain")
     game.evaluate_misses(miss)
     used = len(miss)
-    v_empty = game.memo[0]
-    v_full = game.memo[game.full_bits]
+    v_empty = game.row(0)
+    v_full = game.row(game.full_bits)
 
     root_entry = _Entry(0, 0, v_empty, v_full, v_full - v_empty)
     final: list[_Entry] = []
@@ -193,8 +193,8 @@ def _explain_vector(
             break
         game.evaluate_misses(miss)
         used += cost
-        v_left = game.memo[bits_left]
-        v_right = game.memo[bits_right]
+        v_left = game.row(bits_left)
+        v_right = game.row(bits_right)
         s_left = 0.5 * ((v_left - entry.v_context) + (entry.v_context_node - v_right))
         s_right = 0.5 * ((v_right - entry.v_context) + (entry.v_context_node - v_left))
         credit_left, credit_right = _split_credit(entry.credit, s_left, s_right)

@@ -269,6 +269,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
                     clamp=cfg.synth.clamp,
                 )
                 result = synthesize(wrapped, sub, synth_cfg, sub_ledger)
+                truncated = truncated or result.truncated
                 if sub_ledger.evals_used > 0:
                     ledger.charge(sub_ledger.evals_used, "synth")
                 if result.victim_out is not None:

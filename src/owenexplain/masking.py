@@ -79,13 +79,13 @@ class BoundMasker:
         self.fill.setflags(write=False)
 
     def active_rows(self, bits_list) -> np.ndarray:
+        """(len(bits_list), n_atoms) uint8 rows; row r, column i is bit i
+        of the Python int bits_list[r]."""
         n = self.grid.atom_count
-        rows = np.zeros((len(bits_list), n), dtype=np.uint8)
-        for r, bits in enumerate(bits_list):
-            for i in range(n):
-                if (bits >> i) & 1:
-                    rows[r, i] = 1
-        return rows
+        width = (n + 7) // 8
+        packed = b"".join([bits.to_bytes(width, "little") for bits in bits_list])
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(bits_list), width)
+        return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
     def masked_batch(self, bits_list) -> np.ndarray:
         """(len(bits_list), n_cells) masked inputs."""

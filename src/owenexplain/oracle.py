@@ -5,7 +5,8 @@ exact_owen computes the standard two-stage coalitional value over an
 explicit partition, and group_uniform_shapley plays the group-level game
 and splits each group's credit uniformly. All engines accept any object
 with ``n_atoms``, ``value(bits)`` and ``value_batch(masks)``; the masked
-model game below builds that from a model, an input and a masker.
+model game below builds that from a model, an input and a masker. Masks
+are int64 arrays up to 63 atoms and object arrays of Python ints beyond.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .blackbox import Model
+from .blackbox import Model, ModelOutputError
 from .core import QueryLedger
 from .masking import BoundMasker, MaskerSpec
 
@@ -24,6 +25,7 @@ SHAPLEY_MAX_ATOMS = 20
 OWEN_MAX_GROUPS = 12
 OWEN_MAX_GROUP_SIZE = 12
 _CHUNK = 4096
+_FIRST_ROWS = 64
 
 
 @dataclass
@@ -50,7 +52,9 @@ class VectorGame:
 
     A memo hit is free; a miss charges the ledger exactly one evaluation.
     One instance serves every class of an explanation, so multi-class
-    attributions share a single evaluation stream.
+    attributions share a single evaluation stream. Outputs are rows of one
+    growing (rows, num_classes) table; memo maps each coalition's bits to
+    its row, so len(memo) counts coalitions.
     """
 
     def __init__(
@@ -69,28 +73,55 @@ class VectorGame:
         self.tag = tag
         self.n_atoms = masker.grid.atom_count
         self.full_bits = (1 << self.n_atoms) - 1
-        self.memo: dict[int, np.ndarray] = {}
+        self.memo: dict[int, int] = {}
+        self._table = np.empty((_FIRST_ROWS, model.num_classes), dtype=np.float64)
+        self._rows = 0
         self.evals_used = 0
 
     def misses(self, bits_list) -> list[int]:
-        seen = set()
-        out = []
-        for bits in bits_list:
-            if bits not in self.memo and bits not in seen:
-                seen.add(bits)
-                out.append(bits)
-        return out
+        """Distinct coalitions not yet memoized, in first-seen order."""
+        memo = self.memo
+        return [bits for bits in dict.fromkeys(bits_list) if bits not in memo]
 
     def evaluate_misses(self, miss_list) -> None:
-        """Evaluate coalitions assumed already charged to the ledger."""
+        """Evaluate coalitions assumed already charged to the ledger.
+
+        Raises ModelOutputError, and memoizes nothing, if the model's
+        outputs are mis-shaped or not finite.
+        """
         if not miss_list:
             return
-        outputs = self.model.evaluate(self.masker.masked_batch(miss_list))
-        for bits, row in zip(miss_list, outputs):
-            row = np.asarray(row, dtype=np.float64)
-            row.setflags(write=False)
-            self.memo[bits] = row
-        self.evals_used += len(miss_list)
+        count = len(miss_list)
+        classes = self.model.num_classes
+        outputs = np.asarray(
+            self.model.evaluate(self.masker.masked_batch(miss_list)), dtype=np.float64
+        )
+        if outputs.shape != (count, classes):
+            raise ModelOutputError(
+                f"model returned shape {outputs.shape} for {count} rows of {classes} classes"
+            )
+        if not np.isfinite(outputs).all():
+            raise ModelOutputError("model returned non-finite outputs")
+        start, stop = self._rows, self._rows + count
+        if stop > len(self._table):
+            grown = np.empty((max(stop, 2 * len(self._table)), classes), dtype=np.float64)
+            grown[:start] = self._table[:start]
+            self._table = grown
+        self._table[start:stop] = outputs
+        self.memo.update(zip(miss_list, range(start, stop)))
+        self._rows = stop
+        self.evals_used += count
+
+    def row(self, bits: int) -> np.ndarray:
+        """Read-only output vector of a memoized coalition."""
+        out = self._table[self.memo[bits]]
+        out.setflags(write=False)
+        return out
+
+    def column(self, bits_list, class_index: int) -> np.ndarray:
+        """One class's outputs for memoized coalitions, as a new array."""
+        rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
+        return self._table[rows, class_index]
 
     def value_vector(self, bits: int) -> np.ndarray:
         miss = self.misses([bits])
@@ -98,7 +129,7 @@ class VectorGame:
             if self.ledger is not None:
                 self.ledger.charge(len(miss), self.tag)
             self.evaluate_misses(miss)
-        return self.memo[bits]
+        return self.row(bits)
 
 
 class ClassGame:
@@ -119,17 +150,17 @@ class ClassGame:
         return float(self.vector_game.value_vector(bits)[self.class_index])
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
+        masks = np.asarray(masks)
         out = np.empty(len(masks), dtype=np.float64)
         game = self.vector_game
         for start in range(0, len(masks), _CHUNK):
-            chunk = [int(m) for m in masks[start : start + _CHUNK]]
+            chunk = masks[start : start + _CHUNK].tolist()
             miss = game.misses(chunk)
             if miss:
                 if game.ledger is not None:
                     game.ledger.charge(len(miss), game.tag)
                 game.evaluate_misses(miss)
-            for j, bits in enumerate(chunk):
-                out[start + j] = game.memo[bits][self.class_index]
+            out[start : start + len(chunk)] = game.column(chunk, self.class_index)
         return out
 
 
@@ -202,6 +233,23 @@ def _check_partition(partition, n: int) -> list[list[int]]:
     return groups
 
 
+def _mask_dtype(n_atoms: int):
+    """int64 while every mask fits in 63 bits, else exact Python ints."""
+    return np.int64 if n_atoms <= 63 else object
+
+
+def _unions(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and sizes of every union of the given disjoint bitsets, indexed
+    by which parts it takes: entry q is the union of parts[h] for every
+    set bit h of q."""
+    bits = np.zeros(1, dtype=dtype)
+    sizes = np.zeros(1, dtype=np.intp)
+    for part in parts:
+        bits = np.concatenate([bits, bits | part])
+        sizes = np.concatenate([sizes, sizes + 1])
+    return bits, sizes
+
+
 def exact_owen(game, partition) -> Attribution:
     """Two-stage coalitional value: groups bargain first, members second.
 
@@ -213,44 +261,33 @@ def exact_owen(game, partition) -> Attribution:
     groups = _check_partition(partition, n)
     m = len(groups)
     before = game.evals_used
+    dtype = _mask_dtype(n)
     group_bits = [sum(1 << i for i in g) for g in groups]
     outer_w = shapley_weights(m)
     phi = np.zeros(n, dtype=np.float64)
 
     for gi, members in enumerate(groups):
-        others = [group_bits[h] for h in range(m) if h != gi]
-        inner_w = shapley_weights(len(members))
-        # Enumerate the union-of-other-groups contexts once per group.
-        contexts = []
-        for qbits in range(1 << len(others)):
-            ctx = 0
-            for h, gb in enumerate(others):
-                if (qbits >> h) & 1:
-                    ctx |= gb
-            contexts.append((qbits.bit_count(), ctx))
-        # Unique masks needed: ctx | S for all S within the group.
-        sub_masks = []
-        for s_bits in range(1 << len(members)):
-            s_mask = 0
-            for j, atom in enumerate(members):
-                if (s_bits >> j) & 1:
-                    s_mask |= 1 << atom
-            sub_masks.append(s_mask)
-        needed = sorted({ctx | s for _, ctx in contexts for s in sub_masks})
-        values = dict(zip(needed, game.value_batch(np.asarray(needed, dtype=np.int64))))
+        # Rows: unions of the other groups (contexts); columns: subsets of
+        # this group.
+        contexts, q_sizes = _unions([group_bits[h] for h in range(m) if h != gi], dtype)
+        subsets, s_sizes = _unions([1 << atom for atom in members], dtype)
+        masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
+        # Every mask is distinct; the game sees them in ascending order.
+        order = np.argsort(masks)
+        values = np.empty(masks.size, dtype=np.float64)
+        values[order] = game.value_batch(masks[order])
+        values = values.reshape(len(contexts), len(subsets))
+        # The whole group lacks no member, so its weight (0.0) is never read.
+        inner_w = np.append(shapley_weights(len(members)), 0.0)
+        weights = outer_w[q_sizes][:, None] * inner_w[s_sizes][None, :]
         for j, atom in enumerate(members):
-            bit = 1 << atom
-            acc = 0.0
-            for q_size, ctx in contexts:
-                wq = outer_w[q_size]
-                for s_bits in range(1 << len(members)):
-                    if (s_bits >> j) & 1:
-                        continue
-                    s_mask = sub_masks[s_bits]
-                    ws = inner_w[s_bits.bit_count()]
-                    base = ctx | s_mask
-                    acc += wq * ws * (values[base | bit] - values[base])
-            phi[atom] = acc
+            # Axis 2 splits the subsets by member j: [:, :, 0] lacks it,
+            # [:, :, 1] holds it. Terms run context by context, subsets
+            # ascending, and are summed left to right from 0.0.
+            split = values.reshape(len(contexts), -1, 2, 1 << j)
+            w = weights.reshape(len(contexts), -1, 2, 1 << j)[:, :, 0]
+            terms = w * (split[:, :, 1] - split[:, :, 0])
+            phi[atom] = np.cumsum(np.append(0.0, terms))[-1]
 
     empty = float(game.value(0))
     return Attribution(
@@ -270,14 +307,7 @@ def group_uniform_shapley(game, partition) -> Attribution:
     if 1 << m > 4096:
         raise ValueError("owen guard: more than 2**12 group coalitions")
     before = game.evals_used
-    group_bits = [sum(1 << i for i in g) for g in groups]
-    masks = np.empty(1 << m, dtype=np.int64)
-    for q in range(1 << m):
-        bits = 0
-        for h in range(m):
-            if (q >> h) & 1:
-                bits |= group_bits[h]
-        masks[q] = bits
+    masks, _ = _unions([sum(1 << i for i in g) for g in groups], _mask_dtype(n))
     table = np.asarray(game.value_batch(masks), dtype=np.float64)
     group_phi = _kernels.shapley_from_table(table, m)
     phi = np.zeros(n, dtype=np.float64)

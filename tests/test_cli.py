@@ -122,6 +122,17 @@ class TestOracleCommand:
         pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
         assert not np.allclose(pa["values"], pb["values"], atol=1e-12)
 
+    @pytest.mark.parametrize("command", [["oracle", "shapley"], ["explain"]])
+    def test_nan_model_output_exits_five(self, tmp_path, monkeypatch, capsys, command):
+        from owenexplain.blackbox import LinearSoftmaxVictim
+        monkeypatch.setattr(LinearSoftmaxVictim, "evaluate",
+                            lambda self, batch: np.full((len(batch), self.num_classes), np.nan))
+        out = tmp_path / "o.json"
+        assert run(*command, "--victim", "linear_softmax", "--seed", "5", "--input-shape", "6",
+                   "--random", "--block", "1", "--fill", "mean", "--out", str(out)) == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_default_schedule_matches_reference_staging(self, tmp_path):

@@ -122,6 +122,17 @@ class TestRunExtraction:
         assert report.queries_total == 800
         assert int(report.class_histogram.sum()) > 0
 
+    def test_guided_report_says_when_synthesis_truncates(self):
+        # 100 queries per round leave each of the 4 jobs 24 evaluations,
+        # too few for 20 search steps; 8000 in one round let every job finish.
+        short = run_extraction(base_config(mode="guided", budget=200, rounds=2,
+                                           labels_topk=("soft", 1)))
+        assert short.truncated
+        ample = run_extraction(base_config(mode="guided", budget=8000, rounds=1,
+                                           labels_topk=("soft", 1)))
+        assert not ample.truncated
+        assert not run_extraction(base_config(mode="random", budget=200, rounds=2)).truncated
+
     def test_comparison_arms_spend_identical_budgets(self):
         reports = run_comparison(base_config(budget=700, rounds=3, labels_topk=("soft", 1)))
         g = [r.queries_cum for r in reports["guided"].rows]

@@ -1,6 +1,8 @@
 """Cross-backend equivalence: the compiled core and the numpy fallback
 must agree on every kernel."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,38 @@ class TestPureKernels:
         table = [sum(w[i] for i in range(3) if (b >> i) & 1) for b in range(8)]
         phi = _pure.shapley_from_table(np.array(table), 3)
         assert np.allclose(phi, w, atol=1e-12)
+
+    def test_shapley_table_matches_subset_enumeration(self):
+        r = rng()
+        for n in range(1, 13):
+            table = r.uniform(-1, 1, 1 << n)
+            expected = np.zeros(n)
+            for i in range(n):
+                for mask in range(1 << n):
+                    if not (mask >> i) & 1:
+                        s = mask.bit_count()
+                        weight = math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
+                        expected[i] += weight * (table[mask | 1 << i] - table[mask])
+            phi = _pure.shapley_from_table(table, n)
+            assert np.allclose(phi, expected, rtol=0.0, atol=1e-12)
+
+    def test_shapley_table_bitwise_equal_to_mask_gathers(self):
+        # Reference: select each atom's masks by a boolean gather and take
+        # the same weighted dot product; the table split must give the same
+        # operands in the same order, hence the same bits.
+        r = rng()
+        for n in (1, 2, 7, 12, 16):
+            table = r.uniform(-1, 1, 1 << n)
+            lg = [math.lgamma(k + 1) for k in range(n + 1)]
+            weights = np.array([math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)])
+            masks = np.arange(1 << n, dtype=np.uint32)
+            counts = _pure.popcounts(n)
+            expected = np.empty(n)
+            for i in range(n):
+                without = masks[(masks & np.uint32(1 << i)) == 0]
+                gains = table[without | np.uint32(1 << i)] - table[without]
+                expected[i] = float(np.dot(weights[counts[without]], gains))
+            assert _pure.shapley_from_table(table, n).tobytes() == expected.tobytes()
 
     def test_apply_masks_selects_by_atom(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -69,6 +69,26 @@ class TestApplyMask:
         assert np.array_equal(apply_mask(x, c, spec), apply_mask(x, c, spec))
 
 
+class TestActiveRows:
+    @pytest.mark.parametrize("width", [1, 8, 9, 63, 64, 65, 256])
+    def test_rows_match_coalition_indices(self, width):
+        grid = build_atom_grid((width,), (1,))
+        bound = BoundMasker(make_rng(width).uniform(0, 1, width), MaskerSpec(grid=grid, fill="mean"))
+        rng = make_rng(100 + width)
+        coalitions = [Coalition.empty(width), Coalition.full(width),
+                      Coalition.from_indices([width - 1], width)]
+        coalitions += [
+            Coalition.from_indices(np.flatnonzero(rng.uniform(size=width) < 0.5).tolist(), width)
+            for _ in range(20)
+        ]
+        rows = bound.active_rows([c.bits for c in coalitions])
+        assert rows.dtype == np.uint8
+        assert rows.shape == (len(coalitions), width)
+        assert set(np.unique(rows).tolist()) <= {0, 1}
+        for row, coalition in zip(rows, coalitions):
+            assert np.flatnonzero(row).tolist() == coalition.indices()
+
+
 class TestBlur:
     def test_constant_tensor_unchanged(self):
         out = blur_reference(np.full(12, 3.5), (3, 4), sigma=2.0)

@@ -8,19 +8,49 @@ import pytest
 from conftest import additive_game, permutation_shapley, random_table_game, unanimity_game
 
 from owenexplain import (
+    ExplainConfig,
     MaskerSpec,
+    Model,
+    ModelOutputError,
     QueryLedger,
     TableGame,
     VictimSpec,
     build_atom_grid,
+    build_partition_tree,
     exact_owen,
+    explain_all_classes,
     exact_shapley,
     group_uniform_shapley,
     make_rng,
     make_victim,
     masked_game,
 )
-from owenexplain.oracle import VectorGame, shapley_weights
+from owenexplain.oracle import ClassGame, VectorGame, shapley_weights
+
+
+class QuadraticGame:
+    """v(S) = sum_{i in S} a_i + (sum_{i in S} b_i)**2 on masks of any width,
+    evaluated without converting a mask to a fixed-width integer."""
+
+    def __init__(self, n_atoms: int, seed: int):
+        rng = make_rng(seed)
+        self.n_atoms = n_atoms
+        self.a = rng.uniform(-1.0, 1.0, n_atoms)
+        self.b = rng.uniform(-1.0, 1.0, n_atoms)
+        self.evals_used = 0
+
+    def value_batch(self, masks) -> np.ndarray:
+        width = (self.n_atoms + 7) // 8
+        packed = b"".join([int(m).to_bytes(width, "little") for m in masks])
+        members = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
+            axis=1, count=self.n_atoms, bitorder="little",
+        ).astype(np.float64)
+        self.evals_used += len(masks)
+        return members @ self.a + (members @ self.b) ** 2
+
+    def value(self, bits: int) -> float:
+        return float(self.value_batch([bits])[0])
 
 
 class TestExactShapley:
@@ -83,6 +113,23 @@ class TestExactOwen:
             attr = exact_owen(game, [[0, 1, 2], [3, 4], [5]])
             total = game.table[-1] - game.table[0]
             assert abs(attr.values.sum() - total) <= 1e-9
+
+    def test_sum_starts_from_positive_zero(self):
+        # The only marginal is -0.0 - 0.0 = -0.0; a sum started at +0.0,
+        # like a loop's accumulator, returns +0.0.
+        attr = exact_owen(TableGame(1, [0.0, -0.0]), [[0]])
+        assert attr.values.tobytes() == np.zeros(1).tobytes()
+
+    def test_masks_stay_exact_past_63_atoms(self):
+        groups = [list(range(g * 6, g * 6 + 6)) for g in range(12)]
+        game = QuadraticGame(72, seed=3)
+        owen = exact_owen(game, groups)
+        uniform = group_uniform_shapley(game, groups)
+        full = game.value((1 << 72) - 1)
+        assert abs(owen.values.sum() + owen.base_value - full) <= 1e-9
+        assert abs(uniform.values.sum() + uniform.base_value - full) <= 1e-9
+        for g in groups:
+            assert abs(owen.values[g].sum() - uniform.values[g].sum()) <= 1e-9
 
     def test_rejects_bad_partitions(self):
         game = random_table_game(4, 0)
@@ -200,3 +247,67 @@ class TestMaskedGame:
         owen = exact_owen(game, [[i] for i in range(5)])
         shap = exact_shapley(game)
         assert np.allclose(owen.values, shap.values, atol=1e-9)
+
+    def test_memo_counts_distinct_coalitions(self):
+        spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
+        masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
+        ledger = QueryLedger()
+        vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
+        ClassGame(vg, 0).value_batch(np.array([0, 5, 5, 3, 0, 15]))
+        vg.value_vector(3)
+        assert len(vg.memo) == 4
+        assert vg.evals_used == ledger.evals_used == 4
+
+    def test_memo_growth_keeps_earlier_rows_intact_and_read_only(self):
+        spec = VictimSpec(kind="linear_softmax", seed=6, num_classes=3, input_shape=(8,))
+        model = make_victim(spec)
+        masker = MaskerSpec(grid=build_atom_grid((8,), (1,)), fill="mean")
+        vg = VectorGame(model, make_rng(1).uniform(0, 1, 8), masker)
+        early = vg.value_vector(0b1010_0101)
+        kept = early.copy()
+        # 256 coalitions, past the memo's first capacity
+        values = ClassGame(vg, 2).value_batch(np.arange(256))
+        assert len(vg.memo) == vg.evals_used == 256
+        assert np.array_equal(early, kept)
+        assert np.array_equal(vg.row(0b1010_0101), kept)
+        for row in (early, vg.row(0b1010_0101), vg.row(255)):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        expected = model.evaluate(vg.masker.masked_batch(list(range(256))))
+        assert np.allclose(np.stack([vg.row(b) for b in range(256)]), expected, rtol=0, atol=1e-12)
+        assert np.array_equal(values, [vg.row(b)[2] for b in range(256)])
+
+
+class BrokenModel(Model):
+    """Returns NaN rows, or rows with one class too many."""
+
+    def __init__(self, fault: str):
+        self.num_classes = 2
+        self.input_shape = (4,)
+        self.fault = fault
+
+    def evaluate(self, batch):
+        if self.fault == "nan":
+            return np.full((len(batch), 2), np.nan)
+        return np.full((len(batch), 3), 1.0 / 3.0)
+
+
+class TestModelOutputChecks:
+    masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
+    x = np.array([0.1, 0.4, 0.7, 0.2])
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_exact_shapley_fails_loudly(self, fault):
+        vg = VectorGame(BrokenModel(fault), self.x, self.masker)
+        with pytest.raises(ModelOutputError):
+            exact_shapley(ClassGame(vg, 0))
+        assert len(vg.memo) == 0
+        assert vg.evals_used == 0
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_explain_all_classes_fails_loudly(self, fault):
+        cfg = ExplainConfig(masker=self.masker, tree=build_partition_tree(self.masker.grid),
+                            max_evals=None)
+        with pytest.raises(ModelOutputError):
+            explain_all_classes(self.x, BrokenModel(fault), cfg)
