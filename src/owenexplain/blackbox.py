@@ -109,13 +109,17 @@ class TopKConfig:
         return wrap_topk_hard(raw, self.k)
 
     def apply_batch(self, raw: np.ndarray) -> np.ndarray:
+        """Wrap a (rows, classes) batch of model outputs; ModelOutputError
+        if any entry is not finite, in every mode."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2:
             raise ValueError("batch must be 2-D")
+        if not np.isfinite(raw).all():
+            raise ModelOutputError("model returned non-finite outputs")
         if self.mode == "all":
             return raw.copy()
-        if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-            raise ValueError("probabilities must be finite and non-negative")
+        if np.any(raw < 0):
+            raise ValueError("probabilities must be non-negative")
         if np.any(np.abs(raw.sum(axis=1) - 1.0) > _PROB_ATOL):
             raise ValueError("probability rows must sum to 1")
         c = raw.shape[1]
@@ -137,7 +141,11 @@ class TopKConfig:
 
 
 class WrappedModel(Model):
-    """Model view through a top-k wrapper; what an attacker observes."""
+    """Model view through a top-k wrapper; what an attacker observes.
+
+    evaluate raises ModelOutputError if the inner model's outputs are
+    mis-shaped or not finite, whatever the top-k mode.
+    """
 
     def __init__(self, inner: Model, topk: TopKConfig):
         if topk.mode != "all" and topk.k > inner.num_classes:
@@ -148,18 +156,32 @@ class WrappedModel(Model):
         self.input_shape = inner.input_shape
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        return self.topk.apply_batch(self.inner.evaluate(batch))
+        return self.topk.apply_batch(_shaped_outputs(self.inner, batch))
+
+
+def _shaped_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
+    """model.evaluate(batch); ModelOutputError unless it is one row of
+    num_classes outputs per input row. Finiteness is left to apply_batch."""
+    raw = np.asarray(model.evaluate(batch), dtype=np.float64)
+    expected = (len(batch), model.num_classes)
+    if raw.shape != expected:
+        raise ModelOutputError(f"model returned shape {raw.shape}, expected {expected}")
+    return raw
 
 
 def query(
     model: Model, batch: np.ndarray, topk: TopKConfig, ledger: QueryLedger
 ) -> np.ndarray:
-    """Charge the ledger for the batch and return wrapped outputs."""
+    """Charge the ledger for the batch and return wrapped outputs.
+
+    Raises ModelOutputError if the model's outputs are mis-shaped or not
+    finite; the batch stays charged.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.n_cells:
         raise ValueError("batch shape does not match model input")
     ledger.charge(batch.shape[0], "query")
-    return topk.apply_batch(model.evaluate(batch))
+    return topk.apply_batch(_shaped_outputs(model, batch))
 
 
 VICTIM_KINDS = ("linear_softmax", "quadrant_bright", "group_symmetric", "dead_feature")

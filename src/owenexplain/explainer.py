@@ -10,8 +10,13 @@ Credit bookkeeping: an expansion computes the symmetrized two-player
 split of the node span (children evaluated under the parent context with
 the sibling off) and apportions the node's carried credit by that split's
 ratio, with the right child receiving the exact remainder. This conserves
-the credit sum through every step, keeps atoms the model ignores at
-exactly zero, and is exact for additive games. Refinement priority is the
+the credit sum through every step and keeps atoms the model ignores at
+exactly zero. For an additive game it is exact as long as no node's atom
+values sum to (nearly) zero. Where they cancel, the node's credit is at
+most prune_eps, so it is not expanded, or its children's spans cancel and
+the split falls back to halves; either way its atoms share a near-zero
+credit evenly. Weights [1, -1] from a zero baseline at x = [1, 1] give
+[0, 0], not the Shapley values [1, -1]. Refinement priority is the
 largest per-class absolute credit, so single-class and all-class requests
 consume identical evaluation streams.
 """

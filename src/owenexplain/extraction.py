@@ -99,6 +99,14 @@ def train_substitute(
     Both KL-to-distribution and CE-to-distribution have the same analytic
     logit gradient (probs - target) for a full wrapped target
     distribution, scaled by the substitute temperature.
+
+    Each step is `SubstituteModel.evaluate`'s softmax and the gradient
+    update written as in-place operations on the copy's W and b, in the
+    same operand order, so the result is bitwise that of the plain form.
+    W and b are checked for finiteness at the end of every epoch (a
+    non-finite entry stays non-finite under later steps), which raises
+    FloatingPointError for a non-finite gradient and for an update that
+    overflows. The returned loss is the clone loss after the last epoch.
     """
     if mode not in {"soft", "hard"}:
         raise ValueError("mode must be soft or hard")
@@ -107,27 +115,40 @@ def train_substitute(
     if inputs.shape[0] != targets.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
     sub = sub.copy()
+    W, b, temperature = sub.W, sub.b, sub.temperature
+    W_T = W.T  # a view, so it follows the in-place updates of W
+    lr, minibatch = cfg.lr, cfg.minibatch
+    # Dividing or multiplying by 1.0 is exact, so those steps are skipped.
+    scale_logits, scale_step = temperature != 1.0, lr != 1.0
     rng = make_rng(derive_seed(seed, "train"))
     n = inputs.shape[0]
-    last_loss = _clone_loss_batch(targets, sub.evaluate(inputs), mode)
-    for _ in range(cfg.epochs_per_round):
+    for epoch in range(cfg.epochs_per_round):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch):
-            idx = order[start : start + cfg.minibatch]
-            x = inputs[idx]
-            probs = sub.evaluate(x)
-            grad_logits = (probs - targets[idx]) / (len(idx) * sub.temperature)
-            grad_w = grad_logits.T @ x
-            grad_b = grad_logits.sum(axis=0)
-            if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):
-                raise FloatingPointError(
-                    "non-finite clone-loss gradient; aborting the round "
-                    f"(lr={cfg.lr}, batch={len(idx)})"
-                )
-            sub.W = sub.W - cfg.lr * grad_w
-            sub.b = sub.b - cfg.lr * grad_b
-        last_loss = _clone_loss_batch(targets, sub.evaluate(inputs), mode)
-    return sub, last_loss
+        for start in range(0, n, minibatch):
+            idx = order[start : start + minibatch]
+            x = inputs.take(idx, axis=0)
+            g = x @ W_T
+            g += b
+            if scale_logits:
+                g /= temperature
+            g -= np.maximum.reduce(g, axis=1, keepdims=True)
+            np.exp(g, out=g)
+            g /= np.add.reduce(g, axis=1, keepdims=True)
+            g -= targets.take(idx, axis=0)
+            g /= len(idx) * temperature
+            grad_w = g.T @ x
+            grad_b = np.add.reduce(g, axis=0)
+            if scale_step:
+                grad_w *= lr
+                grad_b *= lr
+            W -= grad_w
+            b -= grad_b
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise FloatingPointError(
+                f"non-finite substitute parameters after epoch {epoch + 1}; aborting the "
+                f"round (lr={lr}, minibatch={minibatch})"
+            )
+    return sub, _clone_loss_batch(targets, sub.evaluate(inputs), mode)
 
 
 @dataclass(frozen=True)
@@ -165,11 +186,17 @@ def make_probe(victim: Model, cfg: ProbeConfig) -> np.ndarray:
     return np.clip(probes, 0.0, 1.0)
 
 
-def agreement(sub: Model, victim: Model, probe: np.ndarray) -> float:
-    """Fraction of probe inputs with matching argmax (not budget-charged)."""
-    a = np.argmax(sub.evaluate(probe), axis=1)
-    b = np.argmax(victim.evaluate(probe), axis=1)
-    return float(np.mean(a == b))
+def agreement(
+    sub: Model, victim: Model, probe: np.ndarray, victim_labels: np.ndarray | None = None
+) -> float:
+    """Fraction of probe inputs with matching argmax (not budget-charged).
+
+    victim_labels, if given, is the victim's argmax on the probe, computed
+    once by a caller that measures agreement repeatedly.
+    """
+    if victim_labels is None:
+        victim_labels = np.argmax(victim.evaluate(probe), axis=1)
+    return float(np.mean(np.argmax(sub.evaluate(probe), axis=1) == victim_labels))
 
 
 @dataclass(frozen=True)
@@ -236,8 +263,10 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
     mode_label = "soft" if cfg.topk.mode in {"soft", "all"} else "hard"
     sub = init_substitute(cfg.seed, victim.num_classes, victim.input_shape)
     probe = make_probe(victim, cfg.probe)
+    probe_labels = np.argmax(victim.evaluate(probe), axis=1)
     histogram = np.zeros(victim.num_classes, dtype=np.int64)
-    rows = [RoundRow(0, 0, agreement(sub, victim, probe), 0, 0)]
+    rows = [RoundRow(0, 0, agreement(sub, victim, probe, probe_labels), 0, 0)]
+    # Labeled training queries as 2-D blocks of rows, in query order.
     train_x: list[np.ndarray] = []
     train_y: list[np.ndarray] = []
     truncated = False
@@ -245,12 +274,13 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
     quotas = _round_quotas(cfg.query_budget, cfg.rounds)
     for round_idx, quota in enumerate(quotas, start=1):
         target_used = ledger.evals_used + quota
-        new_x: list[np.ndarray] = []
-        new_y: list[np.ndarray] = []
+        first_block = len(train_y)
 
         if cfg.mode == "guided":
             if cfg.synth is None:
                 raise ValueError("guided mode needs a synthesis configuration")
+            synth_x: list[np.ndarray] = []
+            synth_y: list[np.ndarray] = []
             n_jobs = victim.num_classes * cfg.samples_per_class
             per_job = max(2, (quota - n_jobs) // max(n_jobs, 1))
             for job in range(n_jobs):
@@ -273,8 +303,11 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
                 if sub_ledger.evals_used > 0:
                     ledger.charge(sub_ledger.evals_used, "synth")
                 if result.victim_out is not None:
-                    new_x.append(result.sample)
-                    new_y.append(result.victim_out)
+                    synth_x.append(result.sample)
+                    synth_y.append(result.victim_out)
+            if synth_x:
+                train_x.append(np.asarray(synth_x))
+                train_y.append(np.asarray(synth_y))
 
         # Fill the remainder of the quota with uniform labeled queries so
         # both arms consume exactly the same budget per round.
@@ -284,19 +317,17 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
             batch = rng.uniform(0.0, 1.0, (pad, victim.n_cells))
             ledger.charge(pad, "query")
             outputs = wrapped.evaluate(batch)
-            new_x.extend(batch)
-            new_y.extend(outputs)
+            train_x.append(batch)
+            train_y.append(outputs)
 
-        for y in new_y:
-            histogram[int(np.argmax(y))] += 1
-        train_x.extend(new_x)
-        train_y.extend(new_y)
+        for y in train_y[first_block:]:
+            histogram += np.bincount(np.argmax(y, axis=1), minlength=victim.num_classes)
 
         if train_x:
             sub, _ = train_substitute(
                 sub,
-                np.asarray(train_x),
-                np.asarray(train_y),
+                np.concatenate(train_x),
+                np.concatenate(train_y),
                 mode_label,
                 cfg.train,
                 seed=derive_seed(cfg.seed, "train", round_idx),
@@ -305,7 +336,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
             RoundRow(
                 round_idx,
                 ledger.evals_used,
-                agreement(sub, victim, probe),
+                agreement(sub, victim, probe, probe_labels),
                 int(histogram.min()),
                 int(histogram.max()),
             )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from owenexplain import (
+    Model,
+    ModelOutputError,
     QueryLedger,
     TopKConfig,
     VictimSpec,
@@ -180,3 +182,49 @@ class TestQuery:
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
         raw = model.evaluate(make_rng(4).uniform(0, 1, (3, 4)))
         assert np.array_equal(np.argmax(out, axis=1), np.argmax(raw, axis=1))
+
+
+class BrokenModel(Model):
+    """Four classes over 4 cells; returns the given outputs for any batch."""
+
+    num_classes = 4
+    input_shape = (4,)
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def evaluate(self, batch):
+        return self.outputs(len(batch))
+
+
+BROKEN_OUTPUTS = {
+    "nan": lambda rows: np.full((rows, 4), np.nan),
+    "inf": lambda rows: np.vstack([np.full((rows - 1, 4), 0.25), [[np.inf, 0.0, 0.0, 0.0]]]),
+    "too-few-classes": lambda rows: np.full((rows, 3), 1 / 3),
+    "too-few-rows": lambda rows: np.full((rows - 1, 4), 0.25),
+    "1-D": lambda rows: np.full(rows * 4, 0.25),
+}
+TOPK_MODES = [TopKConfig(mode="all"), TopKConfig(mode="soft", k=2), TopKConfig(mode="hard", k=1)]
+
+
+class TestModelOutputErrors:
+    @pytest.mark.parametrize("topk", TOPK_MODES, ids=lambda t: t.mode)
+    @pytest.mark.parametrize("broken", sorted(BROKEN_OUTPUTS))
+    def test_wrapped_model_rejects(self, broken, topk):
+        wrapped = WrappedModel(BrokenModel(BROKEN_OUTPUTS[broken]), topk)
+        with pytest.raises(ModelOutputError):
+            wrapped.evaluate(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("topk", TOPK_MODES, ids=lambda t: t.mode)
+    @pytest.mark.parametrize("broken", sorted(BROKEN_OUTPUTS))
+    def test_query_rejects_and_stays_charged(self, broken, topk):
+        ledger = QueryLedger(budget=10)
+        with pytest.raises(ModelOutputError):
+            query(BrokenModel(BROKEN_OUTPUTS[broken]), np.zeros((3, 4)), topk, ledger)
+        assert ledger.evals_used == 3
+
+    @pytest.mark.parametrize("topk", TOPK_MODES, ids=lambda t: t.mode)
+    def test_valid_outputs_pass(self, topk):
+        probs = random_prob_vectors(3, 4, seed=5)
+        out = WrappedModel(BrokenModel(lambda rows: probs), topk).evaluate(np.zeros((3, 4)))
+        assert np.array_equal(out, topk.apply_batch(probs))

@@ -185,6 +185,22 @@ class TestExtractCommand:
         assert len(payload["class_histogram"]) == 4
 
 
+    @pytest.mark.parametrize("mode", ["guided", "random"])
+    def test_nan_victim_output_exits_five(self, tmp_path, monkeypatch, capsys, mode):
+        # --topk all passes probabilities through unwrapped, so only the
+        # wrapper's own check stands between NaN and the substitute
+        from owenexplain.blackbox import LinearSoftmaxVictim
+        monkeypatch.setattr(LinearSoftmaxVictim, "evaluate",
+                            lambda self, batch: np.full((len(batch), self.num_classes), np.nan))
+        out = tmp_path / "r.csv"
+        assert run("extract", "--victim", "linear_softmax", "--input-shape", "4,4",
+                   "--block", "1,1", "--fill", "mean", "--seed", "1", "--mode", mode,
+                   "--budget", "300", "--rounds", "2", "--labels", "soft", "--topk", "all",
+                   "--out", str(out)) == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -13,11 +13,13 @@ from owenexplain import (
     run_extraction,
     train_substitute,
 )
+from owenexplain.core import derive_seed
 from owenexplain.extraction import (
     ExtractionConfig,
     ProbeConfig,
     SubstituteModel,
     TrainConfig,
+    _clone_loss_batch,
     init_substitute,
     make_probe,
 )
@@ -45,6 +47,36 @@ def base_config(mode="random", seed=0, budget=600, rounds=2, labels_topk=("all",
         synth=synth, train=TrainConfig(lr=0.5, epochs_per_round=15, minibatch=16),
         probe=ProbeConfig(n_probe=128, seed=23, kind="uniform"), seed=seed,
     )
+
+
+def reference_train(sub, inputs, targets, mode, cfg, seed=0):
+    """train_substitute as first written: the softmax through
+    SubstituteModel.evaluate, fresh arrays for every update, a finiteness
+    check of every gradient and a clone loss after every epoch."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    sub = sub.copy()
+    rng = make_rng(derive_seed(seed, "train"))
+    n = inputs.shape[0]
+    last_loss = _clone_loss_batch(targets, sub.evaluate(inputs), mode)
+    for _ in range(cfg.epochs_per_round):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch):
+            idx = order[start : start + cfg.minibatch]
+            x = inputs[idx]
+            probs = sub.evaluate(x)
+            grad_logits = (probs - targets[idx]) / (len(idx) * sub.temperature)
+            grad_w = grad_logits.T @ x
+            grad_b = grad_logits.sum(axis=0)
+            if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):
+                raise FloatingPointError(
+                    "non-finite clone-loss gradient; aborting the round "
+                    f"(lr={cfg.lr}, batch={len(idx)})"
+                )
+            sub.W = sub.W - cfg.lr * grad_w
+            sub.b = sub.b - cfg.lr * grad_b
+        last_loss = _clone_loss_batch(targets, sub.evaluate(inputs), mode)
+    return sub, last_loss
 
 
 class TestTrainSubstitute:
@@ -96,6 +128,47 @@ class TestTrainSubstitute:
             with pytest.raises(FloatingPointError):
                 train_substitute(sub, x, targets, "soft",
                                  TrainConfig(lr=1e6, epochs_per_round=3, minibatch=2))
+
+    def test_overflowing_last_update_aborts(self):
+        # The gradient is finite (about 1e308) but lr times it overflows, on
+        # the only step; no gradient check could see it.
+        sub = init_substitute(0, 2, (2,))
+        x = np.array([[1e308, 0.0]])
+        targets = np.array([[1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                train_substitute(sub, x, targets, "soft",
+                                 TrainConfig(lr=1e10, epochs_per_round=1, minibatch=1))
+
+    @pytest.mark.parametrize(
+        "mode, n, minibatch, temperature, lr, epochs",
+        [
+            ("soft", 40, 8, 1.0, 0.5, 4),
+            ("hard", 40, 8, 1.0, 0.5, 4),
+            ("soft", 37, 8, 1.0, 0.3, 3),  # n not divisible by the minibatch
+            ("hard", 13, 1, 1.0, 0.7, 2),
+            ("soft", 13, 64, 1.0, 1.0, 5),  # one minibatch larger than n
+            ("soft", 50, 16, 0.15, 0.1, 3),
+            ("hard", 29, 4, 2.5, 1.3, 3),
+        ],
+    )
+    def test_bitwise_equal_to_reference_loop(self, mode, n, minibatch, temperature, lr, epochs):
+        rng = make_rng(n + minibatch)
+        x = rng.uniform(0.0, 1.0, (n, 12))
+        targets = rng.dirichlet(np.ones(4), n)
+        if mode == "hard":
+            targets = np.eye(4)[np.argmax(targets, axis=1)]
+        start = init_substitute(n, 4, (12,))
+        sub = SubstituteModel(start.W, start.b + 0.05, temperature, (12,))
+        cfg = TrainConfig(lr=lr, epochs_per_round=epochs, minibatch=minibatch)
+        w_before, b_before = sub.W.copy(), sub.b.copy()
+        trained, loss = train_substitute(sub, x, targets, mode, cfg, seed=n)
+        expected, expected_loss = reference_train(sub, x, targets, mode, cfg, seed=n)
+        assert trained.W.tobytes() == expected.W.tobytes()
+        assert trained.b.tobytes() == expected.b.tobytes()
+        assert loss.hex() == expected_loss.hex()
+        # the caller's model is left as it was
+        assert np.array_equal(sub.W, w_before) and np.array_equal(sub.b, b_before)
 
 
 class TestRunExtraction:
