@@ -2,7 +2,6 @@
 score functions, plus a desk-scale extraction simulator driven by the
 class-wise attribution objective."""
 
-from ._kernels import BACKEND as kernel_backend
 from .blackbox import (
     Model,
     ModelOutputError,
@@ -101,7 +100,6 @@ __all__ = [
     "explain",
     "explain_all_classes",
     "group_uniform_shapley",
-    "kernel_backend",
     "kl_clone_loss",
     "make_rng",
     "make_victim",

@@ -1,11 +1,9 @@
-"""Pure numpy implementations of the hot kernels.
+"""Hot numpy kernels: separable Gaussian blur, batch coalition masking
+and subset-table Shapley accumulation.
 
-These compute what owenexplain._kernels._compiled computes. Tap
-accumulation in the blur runs in the same ascending-offset order as the C
-loop so both backends agree to the last few ulps. The subset-table
-Shapley kernel loops over atoms only: each atom's pass splits the table
-into the masks without and with that atom by a reshape and takes one dot
-product, so it agrees with the C loop to rounding, not bit for bit.
+The blur accumulates its taps in ascending-offset order. The Shapley
+kernel loops over atoms only: each atom's pass splits the table into the
+masks without and with that atom by a reshape and takes one dot product.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND = "pure"
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -65,23 +61,27 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
+def shapley_weights(n: int) -> np.ndarray:
+    """w[s] = s!(n-s-1)!/n! via log-factorials (overflow-safe)."""
+    lg = [math.lgamma(k + 1) for k in range(n + 1)]
+    return np.array(
+        [math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)], dtype=np.float64
+    )
+
+
 def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a dense 2**n game-value table.
 
     values[mask] is the game value of the coalition whose members are the
-    set bits of mask. Weights use lgamma to avoid factorial overflow.
+    set bits of mask.
     """
     size = 1 << n
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (size,):
         raise ValueError("value table must have length 2**n")
-    lg = [math.lgamma(k + 1) for k in range(n + 1)]
-    weights = np.array(
-        [math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)], dtype=np.float64
-    )
     # Weight of each mask by its size; size n (the full mask) always holds
     # atom i, so it is never read.
-    mask_weights = np.append(weights, 0.0)[popcounts(n)]
+    mask_weights = np.append(shapley_weights(n), 0.0)[popcounts(n)]
     phi = np.empty(n, dtype=np.float64)
     for i in range(n):
         # Axis 1 splits every mask by bit i: [:, 0] lacks atom i, [:, 1]

@@ -4,7 +4,7 @@ Subcommands: explain, oracle (shapley | owen | group-uniform), synth,
 extract. Every run is a pure function of (config, seed): re-running with
 the same inputs reproduces byte-identical output files at any worker
 count. Exit codes: 0 ok, 2 config error, 3 budget below minimum, 4 I/O,
-5 model output not finite or mis-shaped.
+5 model output not finite or mis-shaped, 6 training diverged.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
     except ModelOutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except FloatingPointError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ are int64 arrays up to 63 atoms and object arrays of Python ints beyond.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import shapley_weights
 from .blackbox import Model, ModelOutputError
 from .core import QueryLedger
 from .masking import BoundMasker, MaskerSpec
@@ -187,14 +187,6 @@ class TableGame:
         masks = np.asarray(masks, dtype=np.int64)
         self.evals_used += len(masks)
         return self.table[masks]
-
-
-def shapley_weights(n: int) -> np.ndarray:
-    """w[s] = s!(n-s-1)!/n! via log-factorials (overflow-safe)."""
-    lg = [math.lgamma(k + 1) for k in range(n + 1)]
-    return np.array(
-        [math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)], dtype=np.float64
-    )
 
 
 def _full_table(game) -> np.ndarray:

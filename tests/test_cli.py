@@ -200,6 +200,18 @@ class TestExtractCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # lr <= 0 is a configuration error; an lr so large that training
+    # overflows is only seen while training.
+    @pytest.mark.parametrize("lr, code", [(1e308, 6), (0.0, 2), (-1.0, 2)])
+    def test_bad_lr_exit_code(self, tmp_path, capsys, lr, code):
+        cfg, out = tmp_path / "c.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"extraction": {"lr": lr}}))
+        assert run("extract", "--config", str(cfg), "--victim", "linear_softmax",
+                   "--input-shape", "4,4", "--mode", "random", "--budget", "200",
+                   "--out", str(out)) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
