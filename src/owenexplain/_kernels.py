@@ -54,10 +54,10 @@ def apply_masks(
 
 def popcounts(n: int) -> np.ndarray:
     """Population count of every mask in [0, 2**n) as uint8."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    counts = np.zeros(1 << n, dtype=np.uint8)
-    for bit in range(n):
-        counts += ((masks >> bit) & 1).astype(np.uint8)
+    # Masks [2**k, 2**(k+1)) are masks [0, 2**k) plus bit k.
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
     return counts
 
 

@@ -122,32 +122,35 @@ def train_substitute(
     scale_logits, scale_step = temperature != 1.0, lr != 1.0
     rng = make_rng(derive_seed(seed, "train"))
     n = inputs.shape[0]
-    for epoch in range(cfg.epochs_per_round):
-        order = rng.permutation(n)
-        for start in range(0, n, minibatch):
-            idx = order[start : start + minibatch]
-            x = inputs.take(idx, axis=0)
-            g = x @ W_T
-            g += b
-            if scale_logits:
-                g /= temperature
-            g -= np.maximum.reduce(g, axis=1, keepdims=True)
-            np.exp(g, out=g)
-            g /= np.add.reduce(g, axis=1, keepdims=True)
-            g -= targets.take(idx, axis=0)
-            g /= len(idx) * temperature
-            grad_w = g.T @ x
-            grad_b = np.add.reduce(g, axis=0)
-            if scale_step:
-                grad_w *= lr
-                grad_b *= lr
-            W -= grad_w
-            b -= grad_b
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise FloatingPointError(
-                f"non-finite substitute parameters after epoch {epoch + 1}; aborting the "
-                f"round (lr={lr}, minibatch={minibatch})"
-            )
+    # A diverging run overflows before the epoch check sees it; that check,
+    # not a numpy warning per operation, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs_per_round):
+            order = rng.permutation(n)
+            for start in range(0, n, minibatch):
+                idx = order[start : start + minibatch]
+                x = inputs.take(idx, axis=0)
+                g = x @ W_T
+                g += b
+                if scale_logits:
+                    g /= temperature
+                g -= np.maximum.reduce(g, axis=1, keepdims=True)
+                np.exp(g, out=g)
+                g /= np.add.reduce(g, axis=1, keepdims=True)
+                g -= targets.take(idx, axis=0)
+                g /= len(idx) * temperature
+                grad_w = g.T @ x
+                grad_b = np.add.reduce(g, axis=0)
+                if scale_step:
+                    grad_w *= lr
+                    grad_b *= lr
+                W -= grad_w
+                b -= grad_b
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise FloatingPointError(
+                    f"non-finite substitute parameters after epoch {epoch + 1}; aborting the "
+                    f"round (lr={lr}, minibatch={minibatch})"
+                )
     return sub, _clone_loss_batch(targets, sub.evaluate(inputs), mode)
 
 

@@ -80,11 +80,16 @@ class BoundMasker:
 
     def active_rows(self, bits_list) -> np.ndarray:
         """(len(bits_list), n_atoms) uint8 rows; row r, column i is bit i
-        of the Python int bits_list[r]."""
+        of mask bits_list[r]. Masks are Python ints of any width, or an
+        int64 array (up to 63 atoms)."""
         n = self.grid.atom_count
-        width = (n + 7) // 8
-        packed = b"".join([bits.to_bytes(width, "little") for bits in bits_list])
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(bits_list), width)
+        if isinstance(bits_list, np.ndarray) and bits_list.dtype == np.int64:
+            rows = np.ascontiguousarray(bits_list, dtype="<i8").view(np.uint8)
+            rows = rows.reshape(len(bits_list), 8)
+        else:
+            width = (n + 7) // 8
+            packed = b"".join([bits.to_bytes(width, "little") for bits in bits_list])
+            rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(bits_list), width)
         return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
     def masked_batch(self, bits_list) -> np.ndarray:

@@ -3,10 +3,16 @@
 exact_shapley enumerates every coalition (guarded at 20 atoms),
 exact_owen computes the standard two-stage coalitional value over an
 explicit partition, and group_uniform_shapley plays the group-level game
-and splits each group's credit uniformly. All engines accept any object
-with ``n_atoms``, ``value(bits)`` and ``value_batch(masks)``; the masked
-model game below builds that from a model, an input and a masker. Masks
-are int64 arrays up to 63 atoms and object arrays of Python ints beyond.
+and splits each group's credit uniformly.
+
+Engine contract. Every game has ``n_atoms`` and ``evals_used``.
+exact_shapley reads ``full_table()``, the 2**n values indexed by mask,
+and nothing else; exact_owen and group_uniform_shapley call
+``value_batch(masks)`` and ``value(bits)``. Masks are int64 arrays up to
+63 atoms and object arrays of Python ints beyond. The masked model game
+below builds all of it from a model, an input and a masker: its full
+table is a column of the shared VectorGame's dense table, filled once for
+every class, while value_batch goes through the sparse coalition memo.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ class VectorGame:
     One instance serves every class of an explanation, so multi-class
     attributions share a single evaluation stream. Outputs are rows of one
     growing (rows, num_classes) table; memo maps each coalition's bits to
-    its row, so len(memo) counts coalitions.
+    its row, so len(memo) counts coalitions. Once dense_table has been
+    built, every lookup reads it instead and charges nothing.
     """
 
     def __init__(
@@ -76,23 +83,28 @@ class VectorGame:
         self.memo: dict[int, int] = {}
         self._table = np.empty((_FIRST_ROWS, model.num_classes), dtype=np.float64)
         self._rows = 0
+        self._dense: np.ndarray | None = None
         self.evals_used = 0
 
     def misses(self, bits_list) -> list[int]:
         """Distinct coalitions not yet memoized, in first-seen order."""
+        if self._dense is not None:
+            return []
         memo = self.memo
         return [bits for bits in dict.fromkeys(bits_list) if bits not in memo]
 
-    def evaluate_misses(self, miss_list) -> None:
-        """Evaluate coalitions assumed already charged to the ledger.
+    def evaluate_misses(self, miss_list, memoize: bool = True) -> np.ndarray:
+        """Evaluate coalitions assumed already charged to the ledger and
+        return their (len(miss_list), num_classes) outputs, memoized unless
+        memoize is False. miss_list holds Python ints or is an int64 array.
 
         Raises ModelOutputError, and memoizes nothing, if the model's
         outputs are mis-shaped or not finite.
         """
-        if not miss_list:
-            return
         count = len(miss_list)
         classes = self.model.num_classes
+        if not count:
+            return np.empty((0, classes), dtype=np.float64)
         outputs = np.asarray(
             self.model.evaluate(self.masker.masked_batch(miss_list)), dtype=np.float64
         )
@@ -102,24 +114,72 @@ class VectorGame:
             )
         if not np.isfinite(outputs).all():
             raise ModelOutputError("model returned non-finite outputs")
-        start, stop = self._rows, self._rows + count
+        self.evals_used += count
+        if memoize:
+            self._store(miss_list, outputs)
+        return outputs
+
+    def _store(self, bits_list: list[int], outputs: np.ndarray) -> None:
+        """Memoize evaluated coalitions as the next rows of the table."""
+        start, stop = self._rows, self._rows + len(bits_list)
         if stop > len(self._table):
-            grown = np.empty((max(stop, 2 * len(self._table)), classes), dtype=np.float64)
+            grown = np.empty((max(stop, 2 * len(self._table)), outputs.shape[1]), dtype=np.float64)
             grown[:start] = self._table[:start]
             self._table = grown
         self._table[start:stop] = outputs
-        self.memo.update(zip(miss_list, range(start, stop)))
+        self.memo.update(zip(bits_list, range(start, stop)))
         self._rows = stop
-        self.evals_used += count
+
+    def dense_table(self) -> np.ndarray:
+        """(2**n_atoms, num_classes) outputs of every coalition; row r is
+        the coalition whose members are the set bits of r.
+
+        Built once, in ascending chunks of _CHUNK masks: memoized
+        coalitions are copied in, and each chunk's others are charged and
+        evaluated as one batch, the batches the memo path would send. None
+        is added to the memo. If a charge or an evaluation fails, the
+        coalitions already evaluated are memoized and no table is kept.
+        """
+        if self._dense is not None:
+            return self._dense
+        if self.n_atoms > SHAPLEY_MAX_ATOMS:
+            raise ValueError(f"dense table guard: {self.n_atoms} atoms > {SHAPLEY_MAX_ATOMS}")
+        size = 1 << self.n_atoms
+        table = np.empty((size, self.model.num_classes), dtype=np.float64)
+        known = np.zeros(size, dtype=bool)
+        if self.memo:
+            bits = np.fromiter(self.memo, np.int64, len(self.memo))
+            known[bits] = True
+            table[bits] = self._table[np.fromiter(self.memo.values(), np.intp, len(bits))]
+        filled = 0
+        try:
+            for start in range(0, size, _CHUNK):
+                miss = np.flatnonzero(~known[start : start + _CHUNK]) + start
+                if miss.size:
+                    if self.ledger is not None:
+                        self.ledger.charge(miss.size, self.tag)
+                    table[miss] = self.evaluate_misses(miss, memoize=False)
+                filled = min(start + _CHUNK, size)
+        except BaseException:
+            fresh = np.flatnonzero(~known[:filled])
+            self._store(fresh.tolist(), table[fresh])
+            raise
+        self._dense = table
+        return table
 
     def row(self, bits: int) -> np.ndarray:
         """Read-only output vector of a memoized coalition."""
-        out = self._table[self.memo[bits]]
+        if self._dense is not None:
+            out = self._dense[bits]
+        else:
+            out = self._table[self.memo[bits]]
         out.setflags(write=False)
         return out
 
     def column(self, bits_list, class_index: int) -> np.ndarray:
         """One class's outputs for memoized coalitions, as a new array."""
+        if self._dense is not None:
+            return self._dense[np.asarray(bits_list, dtype=np.intp), class_index]
         rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
         return self._table[rows, class_index]
 
@@ -163,6 +223,11 @@ class ClassGame:
             out[start : start + len(chunk)] = game.column(chunk, self.class_index)
         return out
 
+    def full_table(self) -> np.ndarray:
+        """This class's value of every coalition, indexed by mask, as a
+        contiguous copy of the shared dense table's column."""
+        return self.vector_game.dense_table()[:, self.class_index].copy()
+
 
 class TableGame:
     """Synthetic game backed by a dense 2**n value table (tests, oracles)."""
@@ -188,10 +253,10 @@ class TableGame:
         self.evals_used += len(masks)
         return self.table[masks]
 
-
-def _full_table(game) -> np.ndarray:
-    masks = np.arange(1 << game.n_atoms, dtype=np.int64)
-    return np.asarray(game.value_batch(masks), dtype=np.float64)
+    def full_table(self) -> np.ndarray:
+        """The table itself; counts one evaluation per coalition."""
+        self.evals_used += len(self.table)
+        return self.table
 
 
 def exact_shapley(game, n_atoms: int | None = None) -> Attribution:
@@ -202,7 +267,7 @@ def exact_shapley(game, n_atoms: int | None = None) -> Attribution:
     if n > SHAPLEY_MAX_ATOMS:
         raise ValueError(f"exact_shapley guard: {n} atoms > {SHAPLEY_MAX_ATOMS}")
     before = game.evals_used
-    table = _full_table(game)
+    table = game.full_table()
     phi = _kernels.shapley_from_table(table, n)
     return Attribution(
         values=np.asarray(phi, dtype=np.float64),
@@ -242,6 +307,22 @@ def _unions(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
     return bits, sizes
 
 
+def _ascending_unions(contexts, subsets, n_atoms: int) -> np.ndarray:
+    """Order that sorts (contexts[:, None] | subsets[None, :]).reshape(-1)
+    ascending. Each mask is cut into 64-bit words, which np.lexsort
+    compares from the most significant down, so no Python int is compared
+    past 63 atoms."""
+    width = 8 * max(1, (n_atoms + 63) // 64)
+
+    def words(masks):
+        packed = b"".join([bits.to_bytes(width, "little") for bits in masks.tolist()])
+        return np.frombuffer(packed, dtype="<u8").reshape(len(masks), -1)
+
+    keys = words(contexts)[:, None] | words(subsets)[None, :]
+    # lexsort's last key is its primary one: the most significant word.
+    return np.lexsort(keys.reshape(-1, width // 8).T)
+
+
 def exact_owen(game, partition) -> Attribution:
     """Two-stage coalitional value: groups bargain first, members second.
 
@@ -265,7 +346,7 @@ def exact_owen(game, partition) -> Attribution:
         subsets, s_sizes = _unions([1 << atom for atom in members], dtype)
         masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
         # Every mask is distinct; the game sees them in ascending order.
-        order = np.argsort(masks)
+        order = _ascending_unions(contexts, subsets, n)
         values = np.empty(masks.size, dtype=np.float64)
         values[order] = game.value_batch(masks[order])
         values = values.reshape(len(contexts), len(subsets))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +213,24 @@ class TestExtractCommand:
                    "--input-shape", "4,4", "--mode", "random", "--budget", "200",
                    "--out", str(out)) == code
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_diverged_training_prints_one_line(self, tmp_path):
+        # Exit 6 keeps the one-line contract of the other exit codes: the
+        # overflowing steps print no numpy RuntimeWarning ahead of it.
+        cfg, out = tmp_path / "c.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"extraction": {"lr": 1e308}}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default")
+        result = subprocess.run(
+            [sys.executable, "-m", "owenexplain.cli", "extract", "--config", str(cfg),
+             "--victim", "linear_softmax", "--input-shape", "4,4", "--mode", "random",
+             "--budget", "200", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 6
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: training diverged: "), lines
         assert not out.exists()
 
 

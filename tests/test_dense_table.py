@@ -1,0 +1,165 @@
+"""exact_shapley's dense coalition table against the memo walk it replaced.
+
+The reference is what exact_shapley did before: ClassGame.value_batch over
+every mask in ascending order, each chunk's misses charged, evaluated and
+memoized, then shapley_from_table on the class's column. Both paths run on
+twin games (same model, input, pre-memoized coalitions and budget) and must
+agree bit for bit, down to the model batches they send.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owenexplain import (
+    BudgetExhausted,
+    MaskerSpec,
+    Model,
+    ModelOutputError,
+    QueryLedger,
+    VictimSpec,
+    build_atom_grid,
+    exact_shapley,
+    make_rng,
+    make_victim,
+    oracle,
+)
+from owenexplain._kernels import shapley_from_table
+from owenexplain.oracle import ClassGame, VectorGame
+
+
+class RecordingModel(Model):
+    """A victim that logs every batch it is sent and, from call fail_at on,
+    returns NaN."""
+
+    def __init__(self, victim):
+        self.victim = victim
+        self.num_classes = victim.num_classes
+        self.input_shape = victim.input_shape
+        self.batches: list[bytes] = []
+        self.fail_at: int | None = None
+
+    def evaluate(self, batch):
+        batch = np.asarray(batch)
+        self.batches.append(repr(batch.shape).encode() + batch.tobytes())
+        out = self.victim.evaluate(batch)
+        if self.fail_at is not None and len(self.batches) > self.fail_at:
+            return np.full_like(out, np.nan)
+        return out
+
+
+def twin(case):
+    spec = VictimSpec(kind="linear_softmax", seed=case["seed"], num_classes=case["classes"],
+                      input_shape=(case["n"],), weight_scale=3.0)
+    model = RecordingModel(make_victim(spec))
+    masker = MaskerSpec(grid=build_atom_grid((case["n"],), (1,)), fill="mean")
+    x = make_rng(case["seed"]).uniform(0.0, 1.0, case["n"])
+    ledger = QueryLedger(budget=case["budget"])
+    game = VectorGame(model, x, masker, ledger, tag="oracle")
+    for bits in case["pre"]:
+        game.value_vector(bits)
+    if case["fail_after"] is not None:
+        model.fail_at = len(model.batches) + case["fail_after"]
+    return game, model, ledger
+
+
+def reference_shapley(game, class_index):
+    before = game.evals_used
+    table = ClassGame(game, class_index).value_batch(
+        np.arange(1 << game.n_atoms, dtype=np.int64))
+    phi = shapley_from_table(table, game.n_atoms)
+    return phi.tobytes(), float(table[0]).hex(), game.evals_used - before
+
+
+def dense_shapley(game, class_index):
+    attr = exact_shapley(ClassGame(game, class_index))
+    return attr.values.tobytes(), attr.base_value.hex(), attr.evals_used
+
+
+def every_class(engine, game):
+    """Per-class results, stopping at the first failure, and its type."""
+    results = []
+    for c in range(game.model.num_classes):
+        try:
+            results.append(engine(game, c))
+        except (BudgetExhausted, ModelOutputError) as exc:
+            return results, type(exc)
+    return results, None
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    size = 1 << n
+    pre = draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=min(size, 24)))
+    extra = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=size + 1)))
+    return {
+        "n": n,
+        "classes": draw(st.integers(min_value=2, max_value=4)),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "pre": pre,
+        "budget": None if extra is None else max(1, len(set(pre)) + extra),
+        "fail_after": draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6))),
+        # Small chunks put several batches, and so a mid-fill failure, into
+        # a game of at most 1,024 coalitions.
+        "chunk": draw(st.sampled_from([1, 3, 64, 4096])),
+    }
+
+
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_dense_table_matches_memo_walk(case):
+    with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
+        ref_game, ref_model, ref_ledger = twin(case)
+        ref, ref_error = every_class(reference_shapley, ref_game)
+        game, model, ledger = twin(case)
+        got, error = every_class(dense_shapley, game)
+
+        assert got == ref
+        assert error is ref_error
+        assert game.evals_used == ref_game.evals_used
+        assert ledger.evals_used == ref_ledger.evals_used
+        assert ledger.by_tag == ref_ledger.by_tag
+        assert model.batches == ref_model.batches
+
+        masks = list(range(1 << case["n"]))
+        calls, charged = len(model.batches), ledger.evals_used
+        if error is None:
+            # The fill added nothing to the memo, and every lookup now reads
+            # the table at no charge.
+            assert len(game.memo) == len(set(case["pre"]))
+            assert game.misses(masks) == []
+            for c in range(case["classes"]):
+                expected = ref_game.column(masks, c).tobytes()
+                assert ClassGame(game, c).value_batch(np.array(masks)).tobytes() == expected
+                assert game.column(masks, c).tobytes() == expected
+            for bits in masks:
+                row = game.value_vector(bits)
+                assert not row.flags.writeable
+                assert row.tobytes() == game.row(bits).tobytes() == ref_game.row(bits).tobytes()
+        else:
+            # Every coalition charged and evaluated before the failure is
+            # memoized as the reference memoized it; nothing else is cached.
+            assert game.misses(masks) == ref_game.misses(masks)
+            assert list(game.memo) == list(ref_game.memo)
+            for bits in ref_game.memo:
+                assert game.value_vector(bits).tobytes() == ref_game.row(bits).tobytes()
+        assert len(model.batches) == calls
+        assert ledger.evals_used == charged
+
+
+def test_fill_reads_the_memo_without_charging_it_again():
+    case = {"n": 6, "classes": 3, "seed": 11, "pre": [0, 63, 5, 40], "budget": 64,
+            "fail_after": None}
+    game, model, ledger = twin(case)
+    assert ledger.evals_used == 4
+    attr = exact_shapley(ClassGame(game, 1))
+    assert attr.evals_used == 60
+    assert ledger.evals_used == 64
+    assert len(model.batches) == 5  # four lookups, then one batch of 60
+    # The other classes read the same table.
+    for c in (0, 2):
+        assert exact_shapley(ClassGame(game, c)).evals_used == 0
+    assert ledger.evals_used == 64 and len(game.memo) == 4

@@ -58,6 +58,17 @@ class TestPureKernels:
                 expected[i] = float(np.dot(weights[counts[without]], gains))
             assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
 
+    def test_popcounts_equal_bit_by_bit_count(self):
+        # Reference: the count built one shift/mask pass per bit.
+        for n in range(21):
+            masks = np.arange(1 << n, dtype=np.uint32)
+            expected = np.zeros(1 << n, dtype=np.uint8)
+            for bit in range(n):
+                expected += ((masks >> bit) & 1).astype(np.uint8)
+            counts = _kernels.popcounts(n)
+            assert counts.dtype == np.uint8
+            assert counts.tobytes() == expected.tobytes()
+
     def test_apply_masks_selects_by_atom(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         fill = np.zeros(4)

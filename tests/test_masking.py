@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owenexplain import Coalition, MaskerSpec, apply_mask, blur_reference, build_atom_grid, make_rng
 from owenexplain.masking import BoundMasker, fill_reference
@@ -87,6 +89,20 @@ class TestActiveRows:
         assert set(np.unique(rows).tolist()) <= {0, 1}
         for row, coalition in zip(rows, coalitions):
             assert np.flatnonzero(row).tolist() == coalition.indices()
+
+    @given(st.integers(min_value=1, max_value=63).flatmap(
+        lambda width: st.tuples(st.just(width), st.lists(
+            st.integers(min_value=0, max_value=(1 << width) - 1), max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_int64_masks_match_python_ints(self, case):
+        width, masks = case
+        grid = build_atom_grid((width,), (1,))
+        bound = BoundMasker(np.zeros(width), MaskerSpec(grid=grid, fill="mean"))
+        from_ints = bound.active_rows(masks)
+        from_array = bound.active_rows(np.array(masks, dtype=np.int64))
+        assert from_array.dtype == from_ints.dtype == np.uint8
+        assert from_array.shape == from_ints.shape == (len(masks), width)
+        assert np.array_equal(from_array, from_ints)
 
 
 class TestBlur:

@@ -131,6 +131,21 @@ class TestExactOwen:
         for g in groups:
             assert abs(owen.values[g].sum() - uniform.values[g].sum()) <= 1e-9
 
+    def test_game_sees_ascending_masks_past_63_atoms(self):
+        # Interleaved groups put every group's members in both 64-bit words.
+        batches = []
+
+        class Recording(QuadraticGame):
+            def value_batch(self, masks):
+                batches.append([int(m) for m in masks])
+                return super().value_batch(masks)
+
+        exact_owen(Recording(72, seed=5), [list(range(g, 72, 9)) for g in range(9)])
+        assert len(batches) == 10  # one per group, then the empty coalition
+        for batch in batches[:9]:
+            assert len(batch) == 1 << 16
+            assert all(a < b for a, b in zip(batch, batch[1:]))
+
     def test_rejects_bad_partitions(self):
         game = random_table_game(4, 0)
         with pytest.raises(ValueError):
