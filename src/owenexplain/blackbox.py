@@ -101,13 +101,6 @@ class TopKConfig:
         if self.mode != "all" and (self.k is None or self.k < 1):
             raise ValueError("soft/hard modes require k >= 1")
 
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        if self.mode == "all":
-            return np.asarray(raw, dtype=np.float64).copy()
-        if self.mode == "soft":
-            return wrap_topk_soft(raw, self.k)
-        return wrap_topk_hard(raw, self.k)
-
     def apply_batch(self, raw: np.ndarray) -> np.ndarray:
         """Wrap a (rows, classes) batch of model outputs; ModelOutputError
         if any entry is not finite, in every mode."""

@@ -2,15 +2,14 @@
 
 Subcommands: explain, oracle (shapley | owen | group-uniform), synth,
 extract. Every run is a pure function of (config, seed): re-running with
-the same inputs reproduces byte-identical output files at any worker
-count. Exit codes: 0 ok, 2 config error, 3 budget below minimum, 4 I/O,
-5 model output not finite or mis-shaped, 6 training diverged.
+the same inputs reproduces byte-identical output files. Exit codes: 0 ok,
+2 config error, 3 budget below minimum, 4 I/O, 5 model output not finite
+or mis-shaped, 6 training diverged.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -48,21 +47,11 @@ def _parse_groups(text: str) -> list[list[int]]:
     return groups
 
 
-def _resolve_workers(args, cfg) -> int:
-    """--workers flag wins, then OWEN_EXPLAIN_WORKERS, then the config."""
-    if getattr(args, "workers", None) is not None:
-        return int(args.workers)
-    env = os.environ.get("OWEN_EXPLAIN_WORKERS")
-    if env:
-        return int(env)
-    return int(cfg["workers"])
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallelism bound (env OWEN_EXPLAIN_WORKERS)")
+    parser.add_argument("--workers", type=int,
+                        help="accepted and ignored: every run is sequential")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
     parser.add_argument("--victim", choices=("linear_softmax", "quadrant_bright",
@@ -86,8 +75,6 @@ def _overrides_from_args(args) -> dict:
 
     if args.seed is not None:
         out["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        out["workers"] = args.workers
     put("victim", "kind", getattr(args, "victim", None))
     put("victim", "num_classes", getattr(args, "num_classes", None))
     if getattr(args, "input_shape", None):
@@ -225,7 +212,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("target class outside the victim output")
     budget = _parse_max_evals(args.budget) if args.budget else None
     ledger = QueryLedger(budget=budget)
-    result = synthesize(victim, None, synth_cfg, ledger, workers=_resolve_workers(args, cfg))
+    result = synthesize(victim, None, synth_cfg, ledger)
     write_tensor(args.out, result.sample, victim.input_shape)
     if args.trace:
         dump_csv(

@@ -27,7 +27,6 @@ SCHEMA_VERSION = "1"
 DEFAULTS: dict = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
-    "workers": 1,
     "victim": {
         "kind": "linear_softmax",
         "num_classes": 4,
@@ -68,7 +67,6 @@ DEFAULTS: dict = {
         "probe_kind": "uniform",
         "probe_boost": 0.6,
     },
-    "output": {"out": None, "trace": None, "summary": None, "emit_config": None},
 }
 
 

@@ -24,7 +24,7 @@ consume identical evaluation streams.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,45 +130,23 @@ def _explain_vector(
     root_entry = _Entry(0, 0, v_empty, v_full, v_full - v_empty)
     final: list[_Entry] = []
 
-    if cfg.order == "priority_abs":
-        heap: list[tuple[float, int, _Entry]] = []
+    # One frontier heap: largest absolute credit first (node id breaks
+    # ties) under priority_abs, insertion (FIFO) order under breadth_first.
+    heap: list[tuple] = []
+    counter = itertools.count()
 
-        def push(entry: _Entry) -> None:
-            heapq.heappush(heap, (-float(np.abs(entry.credit).max()), entry.node_id, entry))
-
-        def pop() -> _Entry:
-            return heapq.heappop(heap)[2]
-
-        def pending() -> bool:
-            return bool(heap)
-
-        def drain() -> list[_Entry]:
-            return [heapq.heappop(heap)[2] for _ in range(len(heap))]
-
-        def waiting() -> list[_Entry]:
-            return [item[2] for item in heap]
-
-    else:
-        queue: deque[_Entry] = deque()
-        push = queue.append
-        pop = queue.popleft
-
-        def pending() -> bool:
-            return bool(queue)
-
-        def drain() -> list[_Entry]:
-            out = list(queue)
-            queue.clear()
-            return out
-
-        def waiting() -> list[_Entry]:
-            return list(queue)
+    def push(entry: _Entry) -> None:
+        if cfg.order == "priority_abs":
+            key = (-float(np.abs(entry.credit).max()), entry.node_id)
+        else:
+            key = (next(counter),)
+        heapq.heappush(heap, (*key, entry))
 
     depth_limit = choose_depth(budget, tree) if cfg.order == "breadth_first" else None
     push(root_entry)
 
-    while pending():
-        entry = pop()
+    while heap:
+        entry = heapq.heappop(heap)[-1]
         node = tree.nodes[entry.node_id]
         if node.is_leaf:
             final.append(entry)
@@ -176,7 +154,7 @@ def _explain_vector(
         if float(np.abs(entry.credit).max()) <= cfg.prune_eps:
             final.append(entry)
             if cfg.order == "priority_abs":
-                final.extend(drain())
+                final.extend(item[-1] for item in heap)
                 break
             continue
         if depth_limit is not None and node.depth >= depth_limit:
@@ -188,13 +166,12 @@ def _explain_vector(
         bits_right = entry.context | right.atoms.bits
         miss = game.misses([bits_left, bits_right])
         cost = len(miss)
-        if budget is not None and used + cost > budget:
+        over_budget = budget is not None and used + cost > budget
+        if over_budget or (
+            cost and ledger is not None and not ledger.try_charge(cost, "explain")
+        ):
             final.append(entry)
-            final.extend(drain())
-            break
-        if cost and ledger is not None and not ledger.try_charge(cost, "explain"):
-            final.append(entry)
-            final.extend(drain())
+            final.extend(item[-1] for item in heap)
             break
         game.evaluate_misses(miss)
         used += cost
@@ -207,7 +184,7 @@ def _explain_vector(
         push(_Entry(node.right, entry.context, entry.v_context, v_right, credit_right))
         if step_hook is not None:
             snapshot = [e.credit.copy() for e in final]
-            snapshot.extend(e.credit.copy() for e in waiting())
+            snapshot.extend(item[-1].credit.copy() for item in heap)
             step_hook(snapshot)
 
     n_atoms = tree.atom_count

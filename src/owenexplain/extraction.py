@@ -12,11 +12,19 @@ charged to the ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blackbox import Model, TopKConfig, VictimSpec, WrappedModel, class_regions, make_victim
+from .blackbox import (
+    Model,
+    TopKConfig,
+    VictimSpec,
+    WrappedModel,
+    _softmax,
+    class_regions,
+    make_victim,
+)
 from .core import QueryLedger, derive_seed, make_rng
 from .masking import MaskerSpec
 from .synthesis import SynthConfig, synthesize
@@ -41,10 +49,7 @@ class SubstituteModel(Model):
             self.input_shape = (self.W.shape[1],)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        logits = (batch @ self.W.T + self.b) / self.temperature
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax((batch @ self.W.T + self.b) / self.temperature)
 
     def copy(self) -> "SubstituteModel":
         return SubstituteModel(self.W.copy(), self.b.copy(), self.temperature, self.input_shape)
@@ -359,20 +364,7 @@ def run_comparison(cfg: ExtractionConfig) -> dict[str, ExtractionReport]:
     """Both arms under one configuration; identical budgets by structure."""
     reports = {}
     for mode in ("guided", "random"):
-        arm = ExtractionConfig(
-            victim=cfg.victim,
-            topk=cfg.topk,
-            masker=cfg.masker,
-            query_budget=cfg.query_budget,
-            rounds=cfg.rounds,
-            mode=mode,
-            samples_per_class=cfg.samples_per_class,
-            synth=cfg.synth,
-            train=cfg.train,
-            probe=cfg.probe,
-            seed=cfg.seed,
-        )
-        reports[mode] = run_extraction(arm)
+        reports[mode] = run_extraction(replace(cfg, mode=mode))
     cums_g = [r.queries_cum for r in reports["guided"].rows]
     cums_r = [r.queries_cum for r in reports["random"].rows]
     if cums_g != cums_r:

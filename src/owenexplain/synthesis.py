@@ -10,7 +10,6 @@ charged to the ledger.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,11 +138,10 @@ def synthesize(
     cfg: SynthConfig,
     ledger: QueryLedger | None = None,
     tree=None,
-    workers: int = 1,
 ) -> SynthResult:
     """Elitist (1+lambda) search for a sample targeting cfg.target_class.
 
-    Deterministic under cfg.seed and independent of the worker count.
+    Deterministic under cfg.seed; candidates are scored in index order.
     Budget exhaustion mid-run returns the best-so-far with the truncation
     flag set.
     """
@@ -186,15 +184,6 @@ def synthesize(
             dis_term = saturated(disagreement(victim_out, sub_out))
         return alpha * class_term + beta * dis_term, class_term, dis_term, victim_out
 
-    def worst_case_cost(step: int) -> int:
-        cost = 0
-        stage = schedule_lookup(cfg.schedule, step)
-        if alpha > 0 and stage is not SHAP_OFF:
-            cost += stage
-        if beta > 0:
-            cost += 1
-        return cost
-
     best = np.clip(rng.uniform(lo, hi, n_cells), lo, hi)
     trace: list[TraceRow] = []
     truncated = False
@@ -233,22 +222,8 @@ def synthesize(
             cand[cells] = np.clip(cand[cells] + mut_rng.normal(0.0, scale, n_mut), lo, hi)
             candidates.append(cand)
 
-        results = []
-        remaining = ledger.remaining if ledger is not None else None
-        parallel = (
-            workers > 1
-            and len(candidates) > 1
-            and (remaining is None or remaining >= lam * worst_case_cost(step))
-        )
         try:
-            if parallel:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(lambda c: objective(c, step), candidates)
-                    )
-            else:
-                for cand in candidates:
-                    results.append(objective(cand, step))
+            results = [objective(cand, step) for cand in candidates]
         except BudgetExhausted:
             truncated = True
             trace.append(TraceRow(step, best_obj, best_class, best_dis, used()))

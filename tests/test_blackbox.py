@@ -167,11 +167,10 @@ class TestQuery:
 
     def test_batch_wrapper_matches_per_row(self):
         vectors = random_prob_vectors(200, 5, seed=8)
-        for mode in ("soft", "hard"):
+        for mode, wrap in (("soft", wrap_topk_soft), ("hard", wrap_topk_hard)):
             for k in range(1, 6):
-                cfg = TopKConfig(mode=mode, k=k)
-                batch = cfg.apply_batch(vectors)
-                rows = np.stack([cfg.apply(v) for v in vectors])
+                batch = TopKConfig(mode=mode, k=k).apply_batch(vectors)
+                rows = np.stack([wrap(v, k) for v in vectors])
                 assert np.array_equal(batch, rows)
 
     def test_wrapped_model_composes(self):

@@ -263,17 +263,32 @@ class TestConfigHandling:
                    "--max-evals", "4",
                    "--out", str(tmp_path / "missing-dir" / "o.json")) == 4
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OWEN_EXPLAIN_WORKERS", "4")
-        out_env = tmp_path / "env.tnsr"
-        out_flag = tmp_path / "flag.tnsr"
-        args = ["synth", "--victim", "quadrant_bright", "--num-classes", "4",
-                "--input-shape", "6,6", "--seed", "3", "--target-class", "1",
-                "--steps", "8"]
-        assert run(*args, "--out", str(out_env)) == 0
-        monkeypatch.delenv("OWEN_EXPLAIN_WORKERS")
-        assert run(*args, "--workers", "1", "--out", str(out_flag)) == 0
-        assert out_env.read_bytes() == out_flag.read_bytes()
+    @pytest.mark.parametrize("doc", [{"workers": 2}, {"output": {"out": "x"}}],
+                             ids=["workers", "output"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("synth", "--config", str(cfg), "--steps", "2",
+                   "--out", str(tmp_path / "s.tnsr")) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_workers_env_var_is_ignored(self, tmp_path):
+        # Synthesis is sequential; OWEN_EXPLAIN_WORKERS is not read at all.
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        base = {k: v for k, v in os.environ.items() if k != "OWEN_EXPLAIN_WORKERS"}
+        outputs = []
+        for extra in ({}, {"OWEN_EXPLAIN_WORKERS": "bogus"}):
+            out = tmp_path / f"s{len(outputs)}.tnsr"
+            env = dict(base, PYTHONPATH=path, **extra)
+            result = subprocess.run(
+                [sys.executable, "-m", "owenexplain.cli", "synth", "--victim",
+                 "quadrant_bright", "--num-classes", "4", "--input-shape", "6,6",
+                 "--seed", "3", "--target-class", "1", "--steps", "8", "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDeterminism:

@@ -145,11 +145,3 @@ class TestSynthesize:
         assert deltas[6:] == [0, 0, 0]  # shap_off: no further charges
         assert all(row.class_obj_term == res.trace[5].class_obj_term
                    for row in res.trace[6:])
-
-    def test_worker_count_does_not_change_result(self):
-        victim = quadrant_victim()
-        cfg = synth_cfg(target=2, seed=11, steps=15)
-        one = synthesize(victim, None, cfg, QueryLedger(), workers=1)
-        four = synthesize(victim, None, cfg, QueryLedger(), workers=4)
-        assert np.array_equal(one.sample, four.sample)
-        assert [r.evals_used_cum for r in one.trace] == [r.evals_used_cum for r in four.trace]
