@@ -3,7 +3,9 @@ and subset-table Shapley accumulation.
 
 The blur accumulates its taps in ascending-offset order. The Shapley
 kernel loops over atoms only: each atom's pass splits the table into the
-masks without and with that atom by a reshape and takes one dot product.
+masks without and with that atom by a reshape, writes their differences
+into one gains buffer reused by every atom, and takes one dot product
+with one weight operand shared by every atom.
 """
 
 from __future__ import annotations
@@ -79,17 +81,20 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (size,):
         raise ValueError("value table must have length 2**n")
-    # Weight of each mask by its size; size n (the full mask) always holds
-    # atom i, so it is never read.
-    mask_weights = np.append(shapley_weights(n), 0.0)[popcounts(n)]
     phi = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return phi
+    # Deleting bit i maps the masks without atom i, ascending, onto
+    # [0, 2**(n-1)) and keeps each mask's size, so one weight operand,
+    # indexed by that compressed mask, serves every atom.
+    without = shapley_weights(n)[popcounts(n - 1)]
+    gains = np.empty(size >> 1, dtype=np.float64)
     for i in range(n):
         # Axis 1 splits every mask by bit i: [:, 0] lacks atom i, [:, 1]
-        # holds it, both in ascending mask order. Both dot operands are
-        # contiguous copies: a strided operand takes another BLAS path,
-        # which sums in another order.
+        # holds it, both in ascending mask order. The gains land in one
+        # reused contiguous buffer: a strided dot operand takes another
+        # BLAS path, which sums in another order.
         split = values.reshape(-1, 2, 1 << i)
-        gains = (split[:, 1] - split[:, 0]).flatten()
-        without = mask_weights.reshape(-1, 2, 1 << i)[:, 0].flatten()
+        np.subtract(split[:, 1], split[:, 0], out=gains.reshape(-1, 1 << i))
         phi[i] = float(np.dot(without, gains))
     return phi

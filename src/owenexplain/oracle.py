@@ -154,12 +154,17 @@ class VectorGame:
         filled = 0
         try:
             for start in range(0, size, _CHUNK):
-                miss = np.flatnonzero(~known[start : start + _CHUNK]) + start
+                stop = min(start + _CHUNK, size)
+                miss = np.flatnonzero(~known[start:stop]) + start
                 if miss.size:
                     if self.ledger is not None:
                         self.ledger.charge(miss.size, self.tag)
-                    table[miss] = self.evaluate_misses(miss, memoize=False)
-                filled = min(start + _CHUNK, size)
+                    outputs = self.evaluate_misses(miss, memoize=False)
+                    if miss.size == stop - start:
+                        table[start:stop] = outputs
+                    else:
+                        table[miss] = outputs
+                filled = stop
         except BaseException:
             fresh = np.flatnonzero(~known[:filled])
             self._store(fresh.tolist(), table[fresh])
@@ -177,7 +182,8 @@ class VectorGame:
         return out
 
     def column(self, bits_list, class_index: int) -> np.ndarray:
-        """One class's outputs for memoized coalitions, as a new array."""
+        """One class's outputs for memoized coalitions, as a new array.
+        Raises KeyError if one of them is not memoized."""
         if self._dense is not None:
             return self._dense[np.asarray(bits_list, dtype=np.intp), class_index]
         rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
@@ -215,12 +221,17 @@ class ClassGame:
         game = self.vector_game
         for start in range(0, len(masks), _CHUNK):
             chunk = masks[start : start + _CHUNK].tolist()
-            miss = game.misses(chunk)
-            if miss:
+            # Once another class has filled the memo or the dense table, the
+            # read succeeds and no chunk is scanned for misses.
+            try:
+                column = game.column(chunk, self.class_index)
+            except KeyError:
+                miss = game.misses(chunk)
                 if game.ledger is not None:
                     game.ledger.charge(len(miss), game.tag)
                 game.evaluate_misses(miss)
-            out[start : start + len(chunk)] = game.column(chunk, self.class_index)
+                column = game.column(chunk, self.class_index)
+            out[start : start + len(chunk)] = column
         return out
 
     def full_table(self) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""exact_shapley's dense coalition table against the memo walk it replaced.
+"""exact_shapley's dense coalition table, and ClassGame.value_batch's
+memo-first read, against the walks they replaced.
 
-The reference is what exact_shapley did before: ClassGame.value_batch over
+exact_shapley's reference is what it did before: ClassGame.value_batch over
 every mask in ascending order, each chunk's misses charged, evaluated and
-memoized, then shapley_from_table on the class's column. Both paths run on
-twin games (same model, input, pre-memoized coalitions and budget) and must
-agree bit for bit, down to the model batches they send.
+memoized, then shapley_from_table on the class's column. value_batch's
+reference finds each chunk's misses before it reads the chunk. Each pair
+runs on twin games (same model, input, pre-memoized coalitions and budget)
+and must agree bit for bit, down to the model batches they send.
 """
 
 from unittest import mock
@@ -163,3 +165,64 @@ def test_fill_reads_the_memo_without_charging_it_again():
     for c in (0, 2):
         assert exact_shapley(ClassGame(game, c)).evals_used == 0
     assert ledger.evals_used == 64 and len(game.memo) == 4
+
+
+def miss_first_value_batch(game, class_index, masks):
+    """ClassGame.value_batch before it read the memo first: each chunk's
+    misses are found, charged and evaluated, then its column is read."""
+    masks = np.asarray(masks)
+    out = np.empty(len(masks), dtype=np.float64)
+    for start in range(0, len(masks), oracle._CHUNK):
+        chunk = masks[start : start + oracle._CHUNK].tolist()
+        miss = game.misses(chunk)
+        if miss:
+            if game.ledger is not None:
+                game.ledger.charge(len(miss), game.tag)
+            game.evaluate_misses(miss)
+        out[start : start + len(chunk)] = game.column(chunk, class_index)
+    return out
+
+
+@st.composite
+def batch_cases(draw):
+    case = draw(cases())
+    size = 1 << case["n"]
+    queries = draw(st.lists(st.integers(min_value=0, max_value=size - 1),
+                             max_size=min(3 * size, 160)))
+    # Leading with the memoized coalitions gives all-hit chunks; the random
+    # rest gives partly hit and all-miss ones.
+    case["masks"] = (case["pre"] if draw(st.booleans()) else []) + queries
+    case["chunk"] = draw(st.sampled_from([1, 3, 64]))
+    return case
+
+
+@given(batch_cases())
+@settings(max_examples=150, deadline=None)
+def test_value_batch_matches_miss_first_walk(case):
+    masks = np.array(case["masks"], dtype=np.int64)
+    with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
+        ref_game, ref_model, ref_ledger = twin(case)
+        ref, ref_error = every_class(
+            lambda g, c: miss_first_value_batch(g, c, masks).tobytes(), ref_game)
+        game, model, ledger = twin(case)
+        got, error = every_class(lambda g, c: ClassGame(g, c).value_batch(masks).tobytes(), game)
+
+        assert got == ref
+        assert error is ref_error
+        assert game.evals_used == ref_game.evals_used
+        assert ledger.evals_used == ref_ledger.evals_used
+        assert ledger.by_tag == ref_ledger.by_tag
+        assert model.batches == ref_model.batches
+        assert list(game.memo.items()) == list(ref_game.memo.items())
+        assert game._table[: game._rows].tobytes() == ref_game._table[: ref_game._rows].tobytes()
+
+        if error is None:
+            # Every queried coalition is memoized now: reading them again
+            # charges and evaluates nothing.
+            calls, charged, used = len(model.batches), dict(ledger.by_tag), game.evals_used
+            for c in range(case["classes"]):
+                again = ClassGame(game, c).value_batch(masks)
+                assert again.tobytes() == got[c]
+            assert len(model.batches) == calls
+            assert ledger.by_tag == charged
+            assert game.evals_used == used

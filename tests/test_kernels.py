@@ -45,8 +45,10 @@ class TestPureKernels:
         # the same weighted dot product; the table split must give the same
         # operands in the same order, hence the same bits.
         r = rng()
-        for n in (1, 2, 7, 12, 16):
-            table = r.uniform(-1, 1, 1 << n)
+        cases = [(n, 1.0) for n in (1, 2, 7, 12, 16, 17, 20)]
+        cases += [(n, scale) for n in (12, 20) for scale in (1e-3, 1e6)]
+        for n, scale in cases:
+            table = scale * r.uniform(-1, 1, 1 << n)
             lg = [math.lgamma(k + 1) for k in range(n + 1)]
             weights = np.array([math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)])
             masks = np.arange(1 << n, dtype=np.uint32)
@@ -57,6 +59,10 @@ class TestPureKernels:
                 gains = table[without | np.uint32(1 << i)] - table[without]
                 expected[i] = float(np.dot(weights[counts[without]], gains))
             assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
+
+    def test_shapley_table_of_no_atoms_is_empty(self):
+        phi = _kernels.shapley_from_table(np.array([0.75]), 0)
+        assert phi.dtype == np.float64 and phi.shape == (0,)
 
     def test_popcounts_equal_bit_by_bit_count(self):
         # Reference: the count built one shift/mask pass per bit.
