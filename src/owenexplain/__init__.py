@@ -16,7 +16,6 @@ from .blackbox import (
 from .core import (
     AtomGrid,
     BudgetExhausted,
-    Coalition,
     ConfigError,
     PartitionTree,
     QueryLedger,
@@ -34,7 +33,7 @@ from .extraction import (
     run_extraction,
     train_substitute,
 )
-from .masking import MaskerSpec, apply_mask, blur_reference
+from .masking import MaskerSpec, blur_reference
 from .objectives import (
     ObjectiveWeights,
     ce_clone_loss,
@@ -67,7 +66,6 @@ __all__ = [
     "Attribution",
     "BudgetExhausted",
     "BudgetTooSmall",
-    "Coalition",
     "ConfigError",
     "DecaySchedule",
     "ExplainConfig",
@@ -86,7 +84,6 @@ __all__ = [
     "TopKConfig",
     "VictimSpec",
     "WrappedModel",
-    "apply_mask",
     "blur_reference",
     "build_atom_grid",
     "build_partition_tree",

@@ -20,7 +20,15 @@ from .core import ConfigError, QueryLedger, build_partition_tree, derive_seed, m
 from .explainer import BudgetTooSmall, ExplainConfig, explain, explain_all_classes
 from .objectives import normalize_shap
 from .extraction import run_extraction
-from .oracle import ClassGame, VectorGame, exact_owen, exact_shapley, group_uniform_shapley
+from .oracle import (
+    SHAPLEY_MAX_ATOMS,
+    ClassGame,
+    VectorGame,
+    check_partition,
+    exact_owen,
+    exact_shapley,
+    group_uniform_shapley,
+)
 from .synthesis import synthesize
 from .tensorio import attribution_payload, dump_csv, dump_json, read_tensor, write_tensor
 
@@ -167,12 +175,17 @@ def cmd_oracle(args) -> int:
     masker = cfgmod.masker_from_config(cfg, victim.input_shape)
     n_atoms = masker.grid.atom_count
     groups = None
+    # The engines' size guards, checked before any model evaluation.
+    if args.engine == "shapley" and n_atoms > SHAPLEY_MAX_ATOMS:
+        raise ConfigError(f"oracle shapley guard: {n_atoms} atoms > {SHAPLEY_MAX_ATOMS}")
     if args.engine in {"owen", "group-uniform"}:
         if not args.groups:
             raise ConfigError(f"oracle {args.engine} needs --groups")
         groups = _parse_groups(args.groups)
-        if sorted(i for g in groups for i in g) != list(range(n_atoms)):
-            raise ConfigError("groups must partition the atom indices exactly")
+        try:
+            check_partition(groups, n_atoms)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     target = _classes_arg(str(args.classes), victim.num_classes)
     classes = list(range(victim.num_classes)) if target == "all" else [target]
     seed = int(cfg["seed"])

@@ -1,10 +1,10 @@
-"""Shared value types: atom grids, coalitions, partition trees, the query
-ledger, and deterministic seeding.
+"""Shared value types: atom grids, partition trees, the query ledger, and
+deterministic seeding.
 
 Shapes are plain tuples of positive ints; tensors are flat row-major
-float64 numpy arrays whose length matches the shape product. Coalitions
-are fixed-width bitsets over atom indices and compare structurally, which
-is what keys every memo table in the package.
+float64 numpy arrays whose length matches the shape product. A coalition
+is a plain int mask over atom indices (bit i set means atom i is
+present), which is what keys every memo table in the package.
 """
 
 from __future__ import annotations
@@ -52,51 +52,6 @@ def ensure_tensor(data, shape) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Coalition:
-    """Fixed-width bitset over atom indices. Equality is structural."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("width must be non-negative")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError("bits outside coalition width")
-
-    @classmethod
-    def empty(cls, width: int) -> "Coalition":
-        return cls(0, width)
-
-    @classmethod
-    def full(cls, width: int) -> "Coalition":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def from_indices(cls, indices, width: int) -> "Coalition":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < width:
-                raise ValueError(f"atom index {i} outside [0, {width})")
-            bits |= 1 << i
-        return cls(bits, width)
-
-    def contains(self, atom: int) -> bool:
-        return bool((self.bits >> atom) & 1)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        if other.width != self.width:
-            raise ValueError("coalition widths differ")
-        return Coalition(self.bits | other.bits, self.width)
-
-    def indices(self) -> list[int]:
-        return [i for i in range(self.width) if (self.bits >> i) & 1]
-
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-
-@dataclass(frozen=True)
 class AtomGrid:
     """Tiling of the input into maskable blocks (atoms).
 
@@ -113,22 +68,6 @@ class AtomGrid:
     @property
     def n_cells(self) -> int:
         return math.prod(self.input_shape)
-
-    def atom_ranges(self, atom: int) -> tuple[tuple[int, int], ...]:
-        """Per-axis [start, stop) cell ranges of the atom."""
-        coords = []
-        rem = atom
-        for c in reversed(self.atom_counts):
-            coords.append(rem % c)
-            rem //= c
-        coords.reverse()
-        return tuple(
-            (k * b, min((k + 1) * b, d))
-            for k, b, d in zip(coords, self.block, self.input_shape)
-        )
-
-    def atom_size(self, atom: int) -> int:
-        return math.prod(stop - start for start, stop in self.atom_ranges(atom))
 
 
 def build_atom_grid(input_shape, block) -> AtomGrid:
@@ -153,11 +92,15 @@ def build_atom_grid(input_shape, block) -> AtomGrid:
 
 @dataclass(frozen=True)
 class TreeNode:
+    """One partition node: its atoms as a mask (bits) and as ascending
+    indices (atoms)."""
+
     id: int
     parent: int | None
     left: int | None
     right: int | None
-    atoms: Coalition
+    bits: int
+    atoms: tuple[int, ...]
     depth: int
 
     @property
@@ -178,11 +121,7 @@ class PartitionTree:
 
     @property
     def atom_count(self) -> int:
-        return self.root.atoms.width
-
-    def leaves_in_order(self) -> list[int]:
-        """Single atom per leaf, in leaf-id order."""
-        return [self.nodes[i].atoms.indices()[0] for i in self.leaf_ids]
+        return len(self.root.atoms)
 
 
 def build_partition_tree(grid: AtomGrid) -> PartitionTree:
@@ -192,13 +131,14 @@ def build_partition_tree(grid: AtomGrid) -> PartitionTree:
     floor(extent/2) until every leaf holds one atom.
     """
     counts = grid.atom_counts
-    width = grid.atom_count
 
-    def box_atoms(box) -> Coalition:
-        idx = [0]
+    def node(node_id, parent, left, right, box, depth) -> TreeNode:
+        # Row-major over the box, so the atom indices come out ascending.
+        atoms = [0]
         for axis, (start, stop) in enumerate(box):
-            idx = [i * counts[axis] + k for i in idx for k in range(start, stop)]
-        return Coalition.from_indices(idx, width)
+            atoms = [i * counts[axis] + k for i in atoms for k in range(start, stop)]
+        bits = sum(1 << i for i in atoms)
+        return TreeNode(node_id, parent, left, right, bits, tuple(atoms), depth)
 
     nodes: list[TreeNode] = []
     leaf_ids: list[int] = []
@@ -208,7 +148,7 @@ def build_partition_tree(grid: AtomGrid) -> PartitionTree:
         nodes.append(None)  # placeholder, preorder slot
         extents = [stop - start for start, stop in box]
         if all(e == 1 for e in extents):
-            nodes[node_id] = TreeNode(node_id, parent, None, None, box_atoms(box), depth)
+            nodes[node_id] = node(node_id, parent, None, None, box, depth)
             leaf_ids.append(node_id)
             return node_id
         axis = max(range(len(extents)), key=lambda a: (extents[a], -a))
@@ -222,7 +162,7 @@ def build_partition_tree(grid: AtomGrid) -> PartitionTree:
         )
         left_id = recurse(left_box, node_id, depth + 1)
         right_id = recurse(right_box, node_id, depth + 1)
-        nodes[node_id] = TreeNode(node_id, parent, left_id, right_id, box_atoms(box), depth)
+        nodes[node_id] = node(node_id, parent, left_id, right_id, box, depth)
         return node_id
 
     recurse(tuple((0, c) for c in counts), None, 0)
@@ -269,10 +209,6 @@ class QueryLedger:
                 f"charge of {n} ({tag}) exceeds budget {self.budget} "
                 f"with {self.evals_used} used"
             )
-
-    def used_by_tag(self, tag: str) -> int:
-        with self._lock:
-            return self.by_tag.get(tag, 0)
 
 
 # Seed derivation: splitmix64 chain over the base seed and per-purpose

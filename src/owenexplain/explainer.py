@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import Model
-from .core import PartitionTree, QueryLedger
+from .core import BudgetExhausted, PartitionTree, QueryLedger
 from .masking import MaskerSpec
 from .oracle import Attribution, VectorGame
 
@@ -116,14 +116,9 @@ def _explain_vector(
     tree = cfg.tree
     budget = cfg.max_evals
 
-    root_bits = [0, game.full_bits]
-    miss = game.misses(root_bits)
-    if budget is not None and len(miss) > budget:
-        raise BudgetTooSmall("max_evals below the two root evaluations")
-    if ledger is not None and miss:
-        ledger.charge(len(miss), "explain")
-    game.evaluate_misses(miss)
-    used = len(miss)
+    # ExplainConfig guarantees max_evals >= 2, so only the ledger can
+    # refuse the root pair.
+    game.fetch([0, game.full_bits])
     v_empty = game.row(0)
     v_full = game.row(game.full_bits)
 
@@ -162,19 +157,17 @@ def _explain_vector(
             continue
         left = tree.nodes[node.left]
         right = tree.nodes[node.right]
-        bits_left = entry.context | left.atoms.bits
-        bits_right = entry.context | right.atoms.bits
-        miss = game.misses([bits_left, bits_right])
-        cost = len(miss)
-        over_budget = budget is not None and used + cost > budget
-        if over_budget or (
-            cost and ledger is not None and not ledger.try_charge(cost, "explain")
-        ):
+        bits_left = entry.context | left.bits
+        bits_right = entry.context | right.bits
+        try:
+            game.fetch(
+                [bits_left, bits_right],
+                None if budget is None else budget - game.evals_used,
+            )
+        except BudgetExhausted:
             final.append(entry)
             final.extend(item[-1] for item in heap)
             break
-        game.evaluate_misses(miss)
-        used += cost
         v_left = game.row(bits_left)
         v_right = game.row(bits_right)
         s_left = 0.5 * ((v_left - entry.v_context) + (entry.v_context_node - v_right))
@@ -190,9 +183,9 @@ def _explain_vector(
     n_atoms = tree.atom_count
     values = np.zeros((n_atoms, model.num_classes), dtype=np.float64)
     for entry in final:
-        atoms = tree.nodes[entry.node_id].atoms.indices()
+        atoms = tree.nodes[entry.node_id].atoms
         values[atoms, :] += entry.credit / len(atoms)
-    return values, v_empty, used
+    return values, v_empty, game.evals_used
 
 
 def explain(

@@ -24,6 +24,7 @@ from .blackbox import (
     _softmax,
     class_regions,
     make_victim,
+    query,
 )
 from .core import QueryLedger, derive_seed, make_rng
 from .masking import MaskerSpec
@@ -297,15 +298,8 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
                 if remaining < 3:
                     break
                 sub_ledger = QueryLedger(budget=min(per_job, remaining - 1))
-                synth_cfg = SynthConfig(
-                    target_class=cls,
-                    masker=cfg.synth.masker,
-                    weights=cfg.synth.weights,
-                    schedule=cfg.synth.schedule,
-                    search=cfg.synth.search,
-                    seed=derive_seed(cfg.seed, "synth", round_idx, job),
-                    clamp=cfg.synth.clamp,
-                )
+                seed = derive_seed(cfg.seed, "synth", round_idx, job)
+                synth_cfg = replace(cfg.synth, target_class=cls, seed=seed)
                 result = synthesize(wrapped, sub, synth_cfg, sub_ledger)
                 truncated = truncated or result.truncated
                 if sub_ledger.evals_used > 0:
@@ -323,8 +317,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
         if pad > 0:
             rng = make_rng(derive_seed(cfg.seed, "pad", round_idx))
             batch = rng.uniform(0.0, 1.0, (pad, victim.n_cells))
-            ledger.charge(pad, "query")
-            outputs = wrapped.evaluate(batch)
+            outputs = query(victim, batch, cfg.topk, ledger)
             train_x.append(batch)
             train_y.append(outputs)
 

@@ -1,5 +1,5 @@
-"""Coalition masking: turn an on/off pattern of atoms into a concrete
-model input.
+"""Masking: turn a coalition, an int mask whose set bits are the present
+atoms, into a concrete model input.
 
 Cells of inactive atoms are replaced by a fill reference computed once
 from the original input (Gaussian blur of the whole tensor, a fixed
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import AtomGrid, Coalition, ensure_tensor
+from .core import AtomGrid, ensure_tensor
 
 FILL_KINDS = ("blur", "baseline", "mean")
 
@@ -97,15 +97,3 @@ class BoundMasker:
         return _kernels.apply_masks(
             self.x, self.fill, self.grid.cell_atom, self.active_rows(bits_list)
         )
-
-    def masked(self, bits: int) -> np.ndarray:
-        return self.masked_batch([bits])[0]
-
-
-def apply_mask(x, coalition: Coalition, spec: MaskerSpec) -> np.ndarray:
-    """Pure single-coalition masking; depends only on (x, coalition, spec)."""
-    if coalition.width != spec.grid.atom_count:
-        raise ValueError(
-            f"coalition width {coalition.width} != atom count {spec.grid.atom_count}"
-        )
-    return BoundMasker(x, spec).masked(coalition.bits)

@@ -7,12 +7,13 @@ and splits each group's credit uniformly.
 
 Engine contract. Every game has ``n_atoms`` and ``evals_used``.
 exact_shapley reads ``full_table()``, the 2**n values indexed by mask,
-and nothing else; exact_owen and group_uniform_shapley call
-``value_batch(masks)`` and ``value(bits)``. Masks are int64 arrays up to
-63 atoms and object arrays of Python ints beyond. The masked model game
-below builds all of it from a model, an input and a masker: its full
-table is a column of the shared VectorGame's dense table, filled once for
-every class, while value_batch goes through the sparse coalition memo.
+and nothing else; exact_owen and group_uniform_shapley call only
+``value_batch(masks)``. A mask is a plain int whose bit i marks atom i;
+batches are int64 arrays up to 63 atoms and object arrays of Python ints
+beyond. The masked model game below builds all of it from a model, an
+input and a masker: its full table is a column of the shared VectorGame's
+dense table, filled once for every class, while value_batch goes through
+the sparse coalition memo.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import shapley_weights
 from .blackbox import Model, ModelOutputError
-from .core import QueryLedger
+from .core import BudgetExhausted, QueryLedger
 from .masking import BoundMasker, MaskerSpec
 
 SHAPLEY_MAX_ATOMS = 20
@@ -92,6 +93,22 @@ class VectorGame:
             return []
         memo = self.memo
         return [bits for bits in dict.fromkeys(bits_list) if bits not in memo]
+
+    def fetch(self, bits_list, limit: int | None = None) -> None:
+        """Charge and evaluate, as one ledger charge and one model batch,
+        the distinct coalitions of bits_list that are not yet memoized.
+
+        Raises BudgetExhausted, charging and evaluating nothing, if they
+        number more than limit or than the ledger has left.
+        """
+        miss = self.misses(bits_list)
+        if not miss:
+            return
+        if limit is not None and len(miss) > limit:
+            raise BudgetExhausted(f"{len(miss)} coalitions exceed the limit of {limit}")
+        if self.ledger is not None:
+            self.ledger.charge(len(miss), self.tag)
+        self.evaluate_misses(miss)
 
     def evaluate_misses(self, miss_list, memoize: bool = True) -> np.ndarray:
         """Evaluate coalitions assumed already charged to the ledger and
@@ -189,14 +206,6 @@ class VectorGame:
         rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
         return self._table[rows, class_index]
 
-    def value_vector(self, bits: int) -> np.ndarray:
-        miss = self.misses([bits])
-        if miss:
-            if self.ledger is not None:
-                self.ledger.charge(len(miss), self.tag)
-            self.evaluate_misses(miss)
-        return self.row(bits)
-
 
 class ClassGame:
     """Scalar view of a VectorGame for one output class."""
@@ -212,9 +221,6 @@ class ClassGame:
     def evals_used(self) -> int:
         return self.vector_game.evals_used
 
-    def value(self, bits: int) -> float:
-        return float(self.vector_game.value_vector(bits)[self.class_index])
-
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks)
         out = np.empty(len(masks), dtype=np.float64)
@@ -226,10 +232,7 @@ class ClassGame:
             try:
                 column = game.column(chunk, self.class_index)
             except KeyError:
-                miss = game.misses(chunk)
-                if game.ledger is not None:
-                    game.ledger.charge(len(miss), game.tag)
-                game.evaluate_misses(miss)
+                game.fetch(chunk)
                 column = game.column(chunk, self.class_index)
             out[start : start + len(chunk)] = column
         return out
@@ -250,15 +253,6 @@ class TableGame:
             raise ValueError("table must have 2**n_atoms entries")
         self.evals_used = 0
 
-    @classmethod
-    def from_function(cls, n_atoms: int, fn) -> "TableGame":
-        table = [fn(bits) for bits in range(1 << n_atoms)]
-        return cls(n_atoms, table)
-
-    def value(self, bits: int) -> float:
-        self.evals_used += 1
-        return float(self.table[bits])
-
     def value_batch(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
         self.evals_used += len(masks)
@@ -270,11 +264,9 @@ class TableGame:
         return self.table
 
 
-def exact_shapley(game, n_atoms: int | None = None) -> Attribution:
+def exact_shapley(game) -> Attribution:
     """Exact Shapley values by full subset enumeration."""
-    n = game.n_atoms if n_atoms is None else n_atoms
-    if n != game.n_atoms:
-        raise ValueError("n_atoms does not match the game")
+    n = game.n_atoms
     if n > SHAPLEY_MAX_ATOMS:
         raise ValueError(f"exact_shapley guard: {n} atoms > {SHAPLEY_MAX_ATOMS}")
     before = game.evals_used
@@ -289,7 +281,9 @@ def exact_shapley(game, n_atoms: int | None = None) -> Attribution:
     )
 
 
-def _check_partition(partition, n: int) -> list[list[int]]:
+def check_partition(partition, n: int) -> list[list[int]]:
+    """The groups, each sorted; ValueError unless they partition range(n)
+    within the Owen guards."""
     groups = [sorted(int(i) for i in g) for g in partition]
     flat = [i for g in groups for i in g]
     if sorted(flat) != list(range(n)):
@@ -342,7 +336,7 @@ def exact_owen(game, partition) -> Attribution:
     Coincides with exact_shapley under singleton groups.
     """
     n = game.n_atoms
-    groups = _check_partition(partition, n)
+    groups = check_partition(partition, n)
     m = len(groups)
     before = game.evals_used
     dtype = _mask_dtype(n)
@@ -373,7 +367,9 @@ def exact_owen(game, partition) -> Attribution:
             terms = w * (split[:, :, 1] - split[:, :, 0])
             phi[atom] = np.cumsum(np.append(0.0, terms))[-1]
 
-    empty = float(game.value(0))
+    # v(empty) is the first value of every group's batch, so a memoized
+    # game reads it without a charge.
+    empty = float(game.value_batch(np.zeros(1, dtype=dtype))[0])
     return Attribution(
         values=phi,
         base_value=empty,
@@ -386,10 +382,8 @@ def exact_owen(game, partition) -> Attribution:
 def group_uniform_shapley(game, partition) -> Attribution:
     """Group-level exact Shapley, split uniformly across each group's atoms."""
     n = game.n_atoms
-    groups = _check_partition(partition, n)
+    groups = check_partition(partition, n)
     m = len(groups)
-    if 1 << m > 4096:
-        raise ValueError("owen guard: more than 2**12 group coalitions")
     before = game.evals_used
     masks, _ = _unions([sum(1 << i for i in g) for g in groups], _mask_dtype(n))
     table = np.asarray(game.value_batch(masks), dtype=np.float64)

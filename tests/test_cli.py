@@ -125,6 +125,25 @@ class TestOracleCommand:
         pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
         assert not np.allclose(pa["values"], pb["values"], atol=1e-12)
 
+    # Each engine guard, on the 36 atoms of group_symmetric's default 6x6
+    # input, ends in one error line and exit 2 before any model call.
+    @pytest.mark.parametrize("engine, groups, message", [
+        ("shapley", None, "oracle shapley guard: 36 atoms > 20"),
+        ("owen", "|".join(map(str, range(12))) + "|" + ",".join(map(str, range(12, 36))),
+         "owen guard: more than 12 groups"),
+        ("group-uniform", ",".join(map(str, range(13))) + "|" + ",".join(map(str, range(13, 36))),
+         "owen guard: group larger than 12"),
+    ])
+    def test_engine_guards_exit_two(self, tmp_path, monkeypatch, capsys, engine, groups, message):
+        from owenexplain.blackbox import GroupSymmetricVictim
+        monkeypatch.setattr(GroupSymmetricVictim, "evaluate", None)  # no model call
+        out = tmp_path / "o.json"
+        extra = ["--groups", groups] if groups else []
+        assert run("oracle", engine, "--victim", "group_symmetric", "--random",
+                   "--block", "1,1", "--fill", "mean", *extra, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["oracle", "shapley"], ["explain"]])
     def test_nan_model_output_exits_five(self, tmp_path, monkeypatch, capsys, command):
         from owenexplain.blackbox import LinearSoftmaxVictim

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from owenexplain import (
     BudgetExhausted,
-    Coalition,
     QueryLedger,
     build_atom_grid,
     build_partition_tree,
@@ -20,12 +19,12 @@ class TestAtomGrid:
     def test_exact_tiling_6x6(self):
         grid = build_atom_grid((6, 6), (3, 3))
         assert grid.atom_count == 4
-        assert all(grid.atom_size(a) == 9 for a in range(4))
+        assert np.bincount(grid.cell_atom).tolist() == [9, 9, 9, 9]
 
     def test_remainder_blocks_5x5(self):
         grid = build_atom_grid((5, 5), (3, 3))
         assert grid.atom_count == 4
-        assert [grid.atom_size(a) for a in range(4)] == [9, 6, 6, 4]
+        assert np.bincount(grid.cell_atom).tolist() == [9, 6, 6, 4]
 
     def test_identity_granularity(self):
         grid = build_atom_grid((7,), (1,))
@@ -36,7 +35,10 @@ class TestAtomGrid:
         grid = build_atom_grid((5, 7, 3), (2, 3, 2))
         counts = np.bincount(grid.cell_atom, minlength=grid.atom_count)
         assert counts.sum() == grid.n_cells
-        assert all(counts[a] == grid.atom_size(a) for a in range(grid.atom_count))
+        # Each atom is a box of cells: interior blocks hold 2*3*2, and the
+        # edge blocks of each axis keep the remainder (1, 1 and 1 cells).
+        sizes = np.multiply.outer(np.multiply.outer([2, 2, 1], [3, 3, 1]), [2, 1])
+        assert counts.tolist() == sizes.reshape(-1).tolist()
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -50,13 +52,13 @@ class TestAtomGrid:
 class TestPartitionTree:
     def test_2x2_grid_seven_nodes(self):
         tree = build_partition_tree(build_atom_grid((2, 2), (1, 1)))
-        assert len(tree.nodes) == 7
+        assert len(set(tree.nodes)) == 7  # nodes are hashable and distinct
         root = tree.root
         left, right = tree.nodes[root.left], tree.nodes[root.right]
         # root splits along axis 0 into two rows of two atoms
-        assert left.atoms.indices() == [0, 1]
-        assert right.atoms.indices() == [2, 3]
-        assert tree.leaves_in_order() == [0, 1, 2, 3]
+        assert (left.atoms, left.bits) == ((0, 1), 0b0011)
+        assert (right.atoms, right.bits) == ((2, 3), 0b1100)
+        assert [tree.nodes[i].atoms for i in tree.leaf_ids] == [(0,), (1,), (2,), (3,)]
 
     def test_single_atom_tree(self):
         tree = build_partition_tree(build_atom_grid((3, 3), (3, 3)))
@@ -67,18 +69,20 @@ class TestPartitionTree:
         tree = build_partition_tree(build_atom_grid((8,), (1,)))
         assert len(tree.nodes) == 15
         assert max(node.depth for node in tree.nodes) == 3
-        assert tree.leaves_in_order() == list(range(8))
+        assert [tree.nodes[i].atoms for i in tree.leaf_ids] == [(a,) for a in range(8)]
 
     def test_internal_nodes_union_of_disjoint_children(self):
         tree = build_partition_tree(build_atom_grid((3, 5), (1, 1)))
         for node in tree.nodes:
+            assert list(node.atoms) == sorted(node.atoms)
+            assert node.bits == sum(1 << a for a in node.atoms)
             if node.is_leaf:
-                assert node.atoms.count() == 1
+                assert len(node.atoms) == 1
                 continue
-            left = tree.nodes[node.left].atoms
-            right = tree.nodes[node.right].atoms
+            left = tree.nodes[node.left]
+            right = tree.nodes[node.right]
             assert left.bits & right.bits == 0
-            assert left.bits | right.bits == node.atoms.bits
+            assert left.bits | right.bits == node.bits
 
     def test_preorder_ids(self):
         tree = build_partition_tree(build_atom_grid((4,), (1,)))
@@ -86,22 +90,6 @@ class TestPartitionTree:
             if not node.is_leaf:
                 assert node.left == node.id + 1
                 assert node.left < node.right
-
-
-class TestCoalition:
-    def test_structural_equality(self):
-        assert Coalition.from_indices([0, 2], 4) == Coalition(0b101, 4)
-        assert hash(Coalition(0b101, 4)) == hash(Coalition.from_indices([2, 0], 4))
-
-    def test_width_guard(self):
-        with pytest.raises(ValueError):
-            Coalition(0b100, 2)
-
-    @given(st.sets(st.integers(min_value=0, max_value=15)))
-    def test_roundtrip_indices(self, members):
-        c = Coalition.from_indices(members, 16)
-        assert set(c.indices()) == members
-        assert c.count() == len(members)
 
 
 class TestQueryLedger:
@@ -154,7 +142,7 @@ class TestQueryLedger:
         ledger.charge(3, "a")
         ledger.charge(2, "b")
         ledger.charge(4, "a")
-        assert ledger.used_by_tag("a") == 7
+        assert ledger.by_tag == {"a": 7, "b": 2}
 
 
 class TestSeeding:

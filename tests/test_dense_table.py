@@ -61,7 +61,7 @@ def twin(case):
     ledger = QueryLedger(budget=case["budget"])
     game = VectorGame(model, x, masker, ledger, tag="oracle")
     for bits in case["pre"]:
-        game.value_vector(bits)
+        game.fetch([bits])
     if case["fail_after"] is not None:
         model.fail_at = len(model.batches) + case["fail_after"]
     return game, model, ledger
@@ -138,7 +138,8 @@ def test_dense_table_matches_memo_walk(case):
                 assert ClassGame(game, c).value_batch(np.array(masks)).tobytes() == expected
                 assert game.column(masks, c).tobytes() == expected
             for bits in masks:
-                row = game.value_vector(bits)
+                game.fetch([bits])
+                row = game.row(bits)
                 assert not row.flags.writeable
                 assert row.tobytes() == game.row(bits).tobytes() == ref_game.row(bits).tobytes()
         else:
@@ -147,7 +148,8 @@ def test_dense_table_matches_memo_walk(case):
             assert game.misses(masks) == ref_game.misses(masks)
             assert list(game.memo) == list(ref_game.memo)
             for bits in ref_game.memo:
-                assert game.value_vector(bits).tobytes() == ref_game.row(bits).tobytes()
+                game.fetch([bits])
+                assert game.row(bits).tobytes() == ref_game.row(bits).tobytes()
         assert len(model.batches) == calls
         assert ledger.evals_used == charged
 

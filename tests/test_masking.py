@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owenexplain import Coalition, MaskerSpec, apply_mask, blur_reference, build_atom_grid, make_rng
+from owenexplain import MaskerSpec, blur_reference, build_atom_grid, make_rng
 from owenexplain.masking import BoundMasker, fill_reference
 
 
@@ -11,36 +11,36 @@ def grid_2x2():
     return build_atom_grid((2, 2), (1, 1))
 
 
+def masked(x, bits: int, spec: MaskerSpec) -> np.ndarray:
+    """One coalition's masked input."""
+    return BoundMasker(x, spec).masked_batch([bits])[0]
+
+
 class TestApplyMask:
     def test_full_coalition_is_identity(self):
         grid = grid_2x2()
         x = np.array([1.0, 2.0, 3.0, 4.0])
         spec = MaskerSpec(grid=grid, fill="mean")
-        out = apply_mask(x, Coalition.full(4), spec)
+        out = masked(x, 0b1111, spec)
         assert np.array_equal(out, x)
 
     def test_empty_coalition_baseline(self):
         grid = grid_2x2()
         base = np.array([9.0, 8.0, 7.0, 6.0])
         spec = MaskerSpec(grid=grid, fill="baseline", baseline=base)
-        out = apply_mask(np.ones(4), Coalition.empty(4), spec)
+        out = masked(np.ones(4), 0, spec)
         assert np.array_equal(out, base)
 
     def test_empty_coalition_mean(self):
         grid = build_atom_grid((2,), (1,))
         spec = MaskerSpec(grid=grid, fill="mean")
-        out = apply_mask(np.array([1.0, 3.0]), Coalition.empty(2), spec)
+        out = masked(np.array([1.0, 3.0]), 0, spec)
         assert np.array_equal(out, [2.0, 2.0])
-
-    def test_width_mismatch(self):
-        spec = MaskerSpec(grid=grid_2x2(), fill="mean")
-        with pytest.raises(ValueError):
-            apply_mask(np.ones(4), Coalition.empty(3), spec)
 
     def test_partial_coalition_mixes(self):
         grid = build_atom_grid((4,), (2,))
         spec = MaskerSpec(grid=grid, fill="baseline", baseline=np.zeros(4))
-        out = apply_mask(np.array([1.0, 2.0, 3.0, 4.0]), Coalition.from_indices([0], 2), spec)
+        out = masked(np.array([1.0, 2.0, 3.0, 4.0]), 0b01, spec)
         assert np.array_equal(out, [1.0, 2.0, 0.0, 0.0])
 
     def test_idempotent_with_cached_reference(self):
@@ -49,7 +49,7 @@ class TestApplyMask:
         spec = MaskerSpec(grid=grid, fill="blur")
         bound = BoundMasker(x, spec)
         bits = 0b0110
-        once = bound.masked(bits)
+        once = bound.masked_batch([bits])[0]
         # re-mask the masked tensor with the same cached fill reference
         twice = np.where(bound.active_rows([bits])[0][grid.cell_atom].astype(bool), once, bound.fill)
         assert np.array_equal(once, twice)
@@ -58,8 +58,7 @@ class TestApplyMask:
         grid = build_atom_grid((6,), (2,))
         x = make_rng(1).uniform(0, 1, 6)
         bound = BoundMasker(x, MaskerSpec(grid=grid, fill="mean"))
-        a = bound.masked(0b001)
-        b = bound.masked(0b011)  # atom 1 flipped on
+        a, b = bound.masked_batch([0b001, 0b011])  # atom 1 flipped on
         changed = np.flatnonzero(a != b)
         assert set(changed).issubset({2, 3})
 
@@ -67,8 +66,8 @@ class TestApplyMask:
         grid = build_atom_grid((3, 3), (2, 2))
         x = make_rng(2).uniform(0, 1, 9)
         spec = MaskerSpec(grid=grid, fill="blur", sigma=1.5)
-        c = Coalition.from_indices([0, 3], 4)
-        assert np.array_equal(apply_mask(x, c, spec), apply_mask(x, c, spec))
+        bits = 0b1001
+        assert np.array_equal(masked(x, bits, spec), masked(x, bits, spec))
 
 
 class TestActiveRows:
@@ -77,18 +76,14 @@ class TestActiveRows:
         grid = build_atom_grid((width,), (1,))
         bound = BoundMasker(make_rng(width).uniform(0, 1, width), MaskerSpec(grid=grid, fill="mean"))
         rng = make_rng(100 + width)
-        coalitions = [Coalition.empty(width), Coalition.full(width),
-                      Coalition.from_indices([width - 1], width)]
-        coalitions += [
-            Coalition.from_indices(np.flatnonzero(rng.uniform(size=width) < 0.5).tolist(), width)
-            for _ in range(20)
-        ]
-        rows = bound.active_rows([c.bits for c in coalitions])
+        members = [[], list(range(width)), [width - 1]]
+        members += [np.flatnonzero(rng.uniform(size=width) < 0.5).tolist() for _ in range(20)]
+        rows = bound.active_rows([sum(1 << i for i in m) for m in members])
         assert rows.dtype == np.uint8
-        assert rows.shape == (len(coalitions), width)
+        assert rows.shape == (len(members), width)
         assert set(np.unique(rows).tolist()) <= {0, 1}
-        for row, coalition in zip(rows, coalitions):
-            assert np.flatnonzero(row).tolist() == coalition.indices()
+        for row, atoms in zip(rows, members):
+            assert np.flatnonzero(row).tolist() == atoms
 
     @given(st.integers(min_value=1, max_value=63).flatmap(
         lambda width: st.tuples(st.just(width), st.lists(

@@ -8,6 +8,7 @@ import pytest
 from conftest import additive_game, permutation_shapley, random_table_game, unanimity_game
 
 from owenexplain import (
+    BudgetExhausted,
     ExplainConfig,
     MaskerSpec,
     Model,
@@ -49,9 +50,6 @@ class QuadraticGame:
         self.evals_used += len(masks)
         return members @ self.a + (members @ self.b) ** 2
 
-    def value(self, bits: int) -> float:
-        return float(self.value_batch([bits])[0])
-
 
 class TestExactShapley:
     def test_additive_game_returns_weights(self):
@@ -74,8 +72,25 @@ class TestExactShapley:
             assert np.allclose(attr.values, permutation_shapley(game), atol=1e-10)
 
     def test_guard_on_large_n(self):
-        with pytest.raises(ValueError):
-            exact_shapley(TableGame(1, [0.0, 1.0]), n_atoms=21)
+        with pytest.raises(ValueError, match="exact_shapley guard: 21 atoms > 20"):
+            exact_shapley(QuadraticGame(21, seed=0))
+        # A masked 21-atom game is refused before the model is called.
+        calls = []
+
+        class Counting(Model):
+            num_classes = 2
+            input_shape = (21,)
+
+            def evaluate(self, batch):
+                calls.append(len(batch))
+                return np.full((len(batch), 2), 0.5)
+
+        masker = MaskerSpec(grid=build_atom_grid((21,), (1,)), fill="mean")
+        game = masked_game(Counting(), np.zeros(21), masker, 0)
+        with pytest.raises(ValueError, match="exact_shapley guard: 21 atoms > 20"):
+            exact_shapley(game)
+        assert calls == []
+        assert game.evals_used == 0
 
     def test_weights_match_exact_rationals(self):
         for n in range(1, 13):
@@ -125,7 +140,7 @@ class TestExactOwen:
         game = QuadraticGame(72, seed=3)
         owen = exact_owen(game, groups)
         uniform = group_uniform_shapley(game, groups)
-        full = game.value((1 << 72) - 1)
+        full = game.value_batch([(1 << 72) - 1])[0]
         assert abs(owen.values.sum() + owen.base_value - full) <= 1e-9
         assert abs(uniform.values.sum() + uniform.base_value - full) <= 1e-9
         for g in groups:
@@ -236,12 +251,31 @@ class TestMaskedGame:
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
         ledger = QueryLedger()
         game = masked_game(model, make_rng(0).uniform(0, 1, 4), masker, 0, ledger=ledger)
-        game.value(0b0101)
+        game.value_batch([0b0101])
         assert ledger.evals_used == 1
-        game.value(0b0101)
+        game.value_batch([0b0101])
         assert ledger.evals_used == 1
-        game.value(0b1111)
+        game.value_batch([0b1111])
         assert ledger.evals_used == 2
+
+    def test_fetch_charges_once_or_not_at_all(self):
+        spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
+        masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
+        ledger = QueryLedger(budget=3)
+        vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
+        # Two distinct misses: over a limit of one, nothing is charged.
+        with pytest.raises(BudgetExhausted):
+            vg.fetch([1, 2, 1], limit=1)
+        assert ledger.evals_used == vg.evals_used == len(vg.memo) == 0
+        vg.fetch([1, 2, 1], limit=2)
+        assert ledger.by_tag == {"explain": 2} and vg.evals_used == 2
+        # Two new misses, one evaluation left on the ledger.
+        with pytest.raises(BudgetExhausted):
+            vg.fetch([1, 4, 8])
+        assert ledger.evals_used == vg.evals_used == len(vg.memo) == 2
+        # Memo hits cost nothing, whatever the limit.
+        vg.fetch([2, 1], limit=0)
+        assert ledger.evals_used == vg.evals_used == 2
 
     def test_vector_game_serves_all_classes(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=4, input_shape=(4,))
@@ -249,7 +283,8 @@ class TestMaskedGame:
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
         ledger = QueryLedger()
         vg = VectorGame(model, make_rng(0).uniform(0, 1, 4), masker, ledger)
-        vec = vg.value_vector(0b1100)
+        vg.fetch([0b1100])
+        vec = vg.row(0b1100)
         assert vec.shape == (4,)
         assert ledger.evals_used == 1
 
@@ -269,7 +304,7 @@ class TestMaskedGame:
         ledger = QueryLedger()
         vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
         ClassGame(vg, 0).value_batch(np.array([0, 5, 5, 3, 0, 15]))
-        vg.value_vector(3)
+        vg.fetch([3])
         assert len(vg.memo) == 4
         assert vg.evals_used == ledger.evals_used == 4
 
@@ -278,7 +313,8 @@ class TestMaskedGame:
         model = make_victim(spec)
         masker = MaskerSpec(grid=build_atom_grid((8,), (1,)), fill="mean")
         vg = VectorGame(model, make_rng(1).uniform(0, 1, 8), masker)
-        early = vg.value_vector(0b1010_0101)
+        vg.fetch([0b1010_0101])
+        early = vg.row(0b1010_0101)
         kept = early.copy()
         # 256 coalitions, past the memo's first capacity
         values = ClassGame(vg, 2).value_batch(np.arange(256))

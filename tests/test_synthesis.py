@@ -98,8 +98,8 @@ class TestSynthesize:
         ledger = QueryLedger()
         cfg = synth_cfg(target=0, seed=5, steps=10, alpha=0.0, beta=1.0)
         synthesize(victim, None, cfg, ledger)
-        assert ledger.used_by_tag("explain") == 0
-        assert ledger.used_by_tag("synth.disagree") > 0
+        assert "explain" not in ledger.by_tag
+        assert ledger.by_tag["synth.disagree"] > 0
 
     def test_query_bound(self):
         # steps*lam mutant evaluations plus the initial parent evaluation,
@@ -127,7 +127,7 @@ class TestSynthesize:
         cfg = synth_cfg(target=1, seed=8, steps=4, schedule="0:99999:4", population=2)
         synthesize(victim, None, cfg, ledger)
         # 4 steps x 2 candidates + init, each at most 4 explain evals
-        assert ledger.used_by_tag("explain") <= (4 * 2 + 1) * 4
+        assert ledger.by_tag.get("explain", 0) <= (4 * 2 + 1) * 4
 
     def test_stage_budgets_apply_per_step(self):
         # explainer charges track the stage containing each step, and the
