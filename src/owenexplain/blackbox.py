@@ -162,6 +162,15 @@ def _shaped_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
     return raw
 
 
+def checked_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
+    """model.evaluate(batch) as float64; ModelOutputError unless it is one
+    row of num_classes finite outputs per input row."""
+    raw = _shaped_outputs(model, batch)
+    if not np.isfinite(raw).all():
+        raise ModelOutputError("model returned non-finite outputs")
+    return raw
+
+
 def query(
     model: Model, batch: np.ndarray, topk: TopKConfig, ledger: QueryLedger
 ) -> np.ndarray:

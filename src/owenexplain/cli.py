@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .blackbox import ModelOutputError, make_victim
+from .blackbox import VICTIM_KINDS, ModelOutputError, make_victim
 from .core import ConfigError, QueryLedger, build_partition_tree, derive_seed, make_rng
 from .explainer import BudgetTooSmall, ExplainConfig, explain, explain_all_classes
+from .masking import FILL_KINDS
 from .objectives import normalize_shap
 from .extraction import run_extraction
 from .oracle import (
@@ -42,70 +43,65 @@ def _parse_max_evals(text: str):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+    values = [int(p) for p in text.split(",") if p.strip() != ""]
+    if not values:
+        raise ValueError(f"no integers in {text!r}")
+    return values
+
+
+def _parse_order(text: str) -> str:
+    if text not in _ORDER_NAMES:
+        choices = ", ".join(map(repr, _ORDER_NAMES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return _ORDER_NAMES[text]
+
+
+def _parse_topk(text: str):
+    return "all" if text == "all" else int(text)
 
 
 def _parse_groups(text: str) -> list[list[int]]:
     try:
-        groups = [_parse_int_list(part) for part in text.split("|")]
+        return [_parse_int_list(part) for part in text.split("|")]
     except ValueError as exc:
         raise ConfigError(f"malformed group string {text!r}") from exc
-    if not groups or any(not g for g in groups):
-        raise ConfigError(f"malformed group string {text!r}")
-    return groups
+
+
+def _config_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that overrides config key `key` ("section.name", or "seed")
+    when given, even with a None value; absent, it sets no attribute."""
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration")
-    parser.add_argument("--seed", type=int, help="master seed")
+    _config_flag(parser, "--seed", "seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int,
                         help="accepted and ignored: every run is sequential")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
-    parser.add_argument("--victim", choices=("linear_softmax", "quadrant_bright",
-                                             "group_symmetric", "dead_feature"))
-    parser.add_argument("--num-classes", type=int, dest="num_classes")
-    parser.add_argument("--input-shape", dest="input_shape",
-                        help="comma-separated dims, e.g. 6,6")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--block", help="comma-separated block extents")
-    parser.add_argument("--fill", choices=("blur", "mean", "baseline"))
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--baseline", help="baseline tensor path for --fill baseline")
+    _config_flag(parser, "--victim", "victim.kind", choices=VICTIM_KINDS)
+    _config_flag(parser, "--num-classes", "victim.num_classes", type=int)
+    _config_flag(parser, "--input-shape", "victim.input_shape", type=_parse_int_list,
+                 help="comma-separated dims, e.g. 6,6")
+    _config_flag(parser, "--temperature", "victim.temperature", type=float)
+    _config_flag(parser, "--block", "masker.block", type=_parse_int_list,
+                 help="comma-separated block extents")
+    _config_flag(parser, "--fill", "masker.fill", choices=FILL_KINDS)
+    _config_flag(parser, "--sigma", "masker.sigma", type=float)
+    _config_flag(parser, "--baseline", "masker.baseline_path",
+                 help="baseline tensor path for --fill baseline")
 
 
-def _overrides_from_args(args) -> dict:
-    out: dict = {}
-
-    def put(section, key, value):
-        if value is not None:
-            out.setdefault(section, {})[key] = value
-
-    if args.seed is not None:
-        out["seed"] = args.seed
-    put("victim", "kind", getattr(args, "victim", None))
-    put("victim", "num_classes", getattr(args, "num_classes", None))
-    if getattr(args, "input_shape", None):
-        put("victim", "input_shape", _parse_int_list(args.input_shape))
-    put("victim", "temperature", getattr(args, "temperature", None))
-    if getattr(args, "block", None):
-        put("masker", "block", _parse_int_list(args.block))
-    put("masker", "fill", getattr(args, "fill", None))
-    put("masker", "sigma", getattr(args, "sigma", None))
-    put("masker", "baseline_path", getattr(args, "baseline", None))
-    return out
-
-
-def _resolve(args, extra: dict | None = None) -> dict:
-    overrides = _overrides_from_args(args)
-    if extra:
-        for section, values in extra.items():
-            if isinstance(values, dict):
-                overrides.setdefault(section, {}).update(
-                    {k: v for k, v in values.items() if v is not None}
-                )
-            elif values is not None:
-                overrides[section] = values
+def _resolve(args) -> dict:
+    """The config file overridden by every config flag given."""
+    overrides: dict = {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key:
+            overrides.setdefault(section, {})[key] = value
+        elif dest == "seed":
+            overrides[dest] = value
     cfg = cfgmod.load_config(args.config, overrides)
     if args.emit_config:
         dump_json(args.emit_config, cfg)
@@ -129,19 +125,17 @@ def _load_input(args, cfg, victim) -> np.ndarray:
 def _classes_arg(text: str, num_classes: int):
     if text == "all":
         return "all"
-    cls = int(text)
+    try:
+        cls = int(text)
+    except ValueError:
+        raise ConfigError(f"classes must be all or a class index, got {text!r}") from None
     if not 0 <= cls < num_classes:
         raise ConfigError(f"class {cls} outside [0, {num_classes})")
     return cls
 
 
 def cmd_explain(args) -> int:
-    extra = {"explainer": {
-        "max_evals": args.max_evals,
-        "order": _ORDER_NAMES.get(args.order) if args.order else None,
-        "classes": args.classes,
-    }}
-    cfg = _resolve(args, extra)
+    cfg = _resolve(args)
     victim = make_victim(cfgmod.victim_from_config(cfg))
     x = _load_input(args, cfg, victim)
     masker = cfgmod.masker_from_config(cfg, victim.input_shape)
@@ -209,22 +203,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    extra = {"synthesis": {
-        "target_class": args.target_class,
-        "schedule": args.schedule,
-        "steps": args.steps,
-        "population": args.population,
-        "alpha": args.alpha,
-        "beta": args.beta,
-    }}
-    cfg = _resolve(args, extra)
+    cfg = _resolve(args)
     victim = make_victim(cfgmod.victim_from_config(cfg))
     masker = cfgmod.masker_from_config(cfg, victim.input_shape)
     synth_cfg = cfgmod.synth_from_config(cfg, masker)
     if not 0 <= synth_cfg.target_class < victim.num_classes:
         raise ConfigError("target class outside the victim output")
-    budget = _parse_max_evals(args.budget) if args.budget else None
-    ledger = QueryLedger(budget=budget)
+    ledger = QueryLedger(budget=args.budget)
     result = synthesize(victim, None, synth_cfg, ledger)
     write_tensor(args.out, result.sample, victim.input_shape)
     if args.trace:
@@ -240,28 +225,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    topk_mode = None
-    topk_k = None
-    if args.topk:
-        if args.topk == "all":
-            topk_mode = "all"
-        else:
-            topk_k = int(args.topk)
-    if args.labels:
-        if args.labels == "hard":
-            topk_mode = "hard"
-        elif topk_mode != "all":
-            topk_mode = "soft"
-    extra = {
-        "topk": {"mode": topk_mode, "k": topk_k},
-        "extraction": {
-            "mode": args.mode,
-            "labels": args.labels,
-            "query_budget": args.budget,
-            "rounds": args.rounds,
-        },
-    }
-    cfg = _resolve(args, extra)
+    # --topk all and --labels derive topk.mode: hard labels need mode hard,
+    # and soft labels mean mode soft unless --topk all keeps every output.
+    opts = vars(args)
+    if opts.get("topk.k") == "all":
+        opts["topk.mode"] = opts.pop("topk.k")
+    labels = opts.get("extraction.labels")
+    if labels == "hard" or (labels == "soft" and "topk.mode" not in opts):
+        opts["topk.mode"] = labels
+    cfg = _resolve(args)
     masker = cfgmod.masker_from_config(cfg, tuple(cfg["victim"]["input_shape"]))
     ex_cfg = cfgmod.extraction_from_config(cfg, masker)
     report = run_extraction(ex_cfg)
@@ -299,9 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", help="tensor file (.tnsr or .json)")
     p.add_argument("--random", action="store_true", help="seeded random input")
-    p.add_argument("--max-evals", dest="max_evals", type=_parse_max_evals)
-    p.add_argument("--classes", default=None, help="all or a class index")
-    p.add_argument("--order", choices=tuple(_ORDER_NAMES))
+    _config_flag(p, "--max-evals", "explainer.max_evals", type=_parse_max_evals,
+                 help="int or unlimited")
+    _config_flag(p, "--classes", "explainer.classes", help="all or a class index")
+    _config_flag(p, "--order", "explainer.order", type=_parse_order,
+                 metavar="{" + ",".join(_ORDER_NAMES) + "}")
     p.add_argument("--normalize", action="store_true",
                    help="scale the attribution map into [-1, 1]")
     p.add_argument("--out", required=True, help="attribution JSON path")
@@ -321,24 +295,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="class-targeted sample synthesis")
     _add_common(p)
-    p.add_argument("--target-class", dest="target_class", type=int)
-    p.add_argument("--schedule", help='e.g. "0:500:128,500:1000:64,1000:1500:32"')
-    p.add_argument("--steps", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--budget", help="victim evaluation budget (int or unlimited)")
+    _config_flag(p, "--target-class", "synthesis.target_class", type=int)
+    _config_flag(p, "--schedule", "synthesis.schedule",
+                 help='e.g. "0:500:128,500:1000:64,1000:1500:32"')
+    _config_flag(p, "--steps", "synthesis.steps", type=int)
+    _config_flag(p, "--population", "synthesis.population", type=int)
+    _config_flag(p, "--alpha", "synthesis.alpha", type=float)
+    _config_flag(p, "--beta", "synthesis.beta", type=float)
+    p.add_argument("--budget", type=_parse_max_evals,
+                   help="victim evaluation budget (int or unlimited)")
     p.add_argument("--out", required=True, help="sample tensor path")
     p.add_argument("--trace", help="objective trace CSV path")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extraction simulation")
     _add_common(p)
-    p.add_argument("--mode", choices=("guided", "random"))
-    p.add_argument("--budget", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--topk", help="k or all")
-    p.add_argument("--labels", choices=("soft", "hard"))
+    _config_flag(p, "--mode", "extraction.mode", choices=("guided", "random"))
+    _config_flag(p, "--budget", "extraction.query_budget", type=int)
+    _config_flag(p, "--rounds", "extraction.rounds", type=int)
+    _config_flag(p, "--topk", "topk.k", type=_parse_topk, help="k or all")
+    _config_flag(p, "--labels", "extraction.labels", choices=("soft", "hard"))
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--summary", help="summary JSON path")
     p.set_defaults(func=cmd_extract)

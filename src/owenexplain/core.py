@@ -96,7 +96,6 @@ class TreeNode:
     indices (atoms)."""
 
     id: int
-    parent: int | None
     left: int | None
     right: int | None
     bits: int
@@ -132,23 +131,23 @@ def build_partition_tree(grid: AtomGrid) -> PartitionTree:
     """
     counts = grid.atom_counts
 
-    def node(node_id, parent, left, right, box, depth) -> TreeNode:
+    def node(node_id, left, right, box, depth) -> TreeNode:
         # Row-major over the box, so the atom indices come out ascending.
         atoms = [0]
         for axis, (start, stop) in enumerate(box):
             atoms = [i * counts[axis] + k for i in atoms for k in range(start, stop)]
         bits = sum(1 << i for i in atoms)
-        return TreeNode(node_id, parent, left, right, bits, tuple(atoms), depth)
+        return TreeNode(node_id, left, right, bits, tuple(atoms), depth)
 
     nodes: list[TreeNode] = []
     leaf_ids: list[int] = []
 
-    def recurse(box, parent: int | None, depth: int) -> int:
+    def recurse(box, depth: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # placeholder, preorder slot
         extents = [stop - start for start, stop in box]
         if all(e == 1 for e in extents):
-            nodes[node_id] = node(node_id, parent, None, None, box, depth)
+            nodes[node_id] = node(node_id, None, None, box, depth)
             leaf_ids.append(node_id)
             return node_id
         axis = max(range(len(extents)), key=lambda a: (extents[a], -a))
@@ -160,12 +159,12 @@ def build_partition_tree(grid: AtomGrid) -> PartitionTree:
         right_box = tuple(
             (cut, e) if a == axis else (s, e) for a, (s, e) in enumerate(box)
         )
-        left_id = recurse(left_box, node_id, depth + 1)
-        right_id = recurse(right_box, node_id, depth + 1)
-        nodes[node_id] = node(node_id, parent, left_id, right_id, box, depth)
+        left_id = recurse(left_box, depth + 1)
+        right_id = recurse(right_box, depth + 1)
+        nodes[node_id] = node(node_id, left_id, right_id, box, depth)
         return node_id
 
-    recurse(tuple((0, c) for c in counts), None, 0)
+    recurse(tuple((0, c) for c in counts), 0)
     return PartitionTree(tuple(nodes), tuple(leaf_ids))
 
 

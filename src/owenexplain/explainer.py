@@ -7,8 +7,8 @@ their atoms, so attributions plus the base value reproduce the model
 output at every budget.
 
 Credit bookkeeping: an expansion computes the symmetrized two-player
-split of the node span (children evaluated under the parent context with
-the sibling off) and apportions the node's carried credit by that split's
+split of the node span (each child evaluated alone, all other atoms off)
+and apportions the node's carried credit by that split's
 ratio, with the right child receiving the exact remainder. This conserves
 the credit sum through every step and keeps atoms the model ignores at
 exactly zero. For an additive game it is exact as long as no node's atom
@@ -86,9 +86,7 @@ def choose_depth(max_evals: int | None, tree: PartitionTree) -> int:
 @dataclass
 class _Entry:
     node_id: int
-    context: int
-    v_context: np.ndarray
-    v_context_node: np.ndarray
+    v_node: np.ndarray
     credit: np.ndarray
 
 
@@ -122,7 +120,7 @@ def _explain_vector(
     v_empty = game.row(0)
     v_full = game.row(game.full_bits)
 
-    root_entry = _Entry(0, 0, v_empty, v_full, v_full - v_empty)
+    root_entry = _Entry(0, v_full, v_full - v_empty)
     final: list[_Entry] = []
 
     # One frontier heap: largest absolute credit first (node id breaks
@@ -157,24 +155,22 @@ def _explain_vector(
             continue
         left = tree.nodes[node.left]
         right = tree.nodes[node.right]
-        bits_left = entry.context | left.bits
-        bits_right = entry.context | right.bits
         try:
             game.fetch(
-                [bits_left, bits_right],
+                [left.bits, right.bits],
                 None if budget is None else budget - game.evals_used,
             )
         except BudgetExhausted:
             final.append(entry)
             final.extend(item[-1] for item in heap)
             break
-        v_left = game.row(bits_left)
-        v_right = game.row(bits_right)
-        s_left = 0.5 * ((v_left - entry.v_context) + (entry.v_context_node - v_right))
-        s_right = 0.5 * ((v_right - entry.v_context) + (entry.v_context_node - v_left))
+        v_left = game.row(left.bits)
+        v_right = game.row(right.bits)
+        s_left = 0.5 * ((v_left - v_empty) + (entry.v_node - v_right))
+        s_right = 0.5 * ((v_right - v_empty) + (entry.v_node - v_left))
         credit_left, credit_right = _split_credit(entry.credit, s_left, s_right)
-        push(_Entry(node.left, entry.context, entry.v_context, v_left, credit_left))
-        push(_Entry(node.right, entry.context, entry.v_context, v_right, credit_right))
+        push(_Entry(node.left, v_left, credit_left))
+        push(_Entry(node.right, v_right, credit_right))
         if step_hook is not None:
             snapshot = [e.credit.copy() for e in final]
             snapshot.extend(item[-1].credit.copy() for item in heap)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import shapley_weights
-from .blackbox import Model, ModelOutputError
+from .blackbox import Model, checked_outputs
 from .core import BudgetExhausted, QueryLedger
 from .masking import BoundMasker, MaskerSpec
 
@@ -119,18 +119,9 @@ class VectorGame:
         outputs are mis-shaped or not finite.
         """
         count = len(miss_list)
-        classes = self.model.num_classes
         if not count:
-            return np.empty((0, classes), dtype=np.float64)
-        outputs = np.asarray(
-            self.model.evaluate(self.masker.masked_batch(miss_list)), dtype=np.float64
-        )
-        if outputs.shape != (count, classes):
-            raise ModelOutputError(
-                f"model returned shape {outputs.shape} for {count} rows of {classes} classes"
-            )
-        if not np.isfinite(outputs).all():
-            raise ModelOutputError("model returned non-finite outputs")
+            return np.empty((0, self.model.num_classes), dtype=np.float64)
+        outputs = checked_outputs(self.model, self.masker.masked_batch(miss_list))
         self.evals_used += count
         if memoize:
             self._store(miss_list, outputs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import Model
+from .blackbox import Model, checked_outputs
 from .core import BudgetExhausted, QueryLedger, derive_seed, make_rng
 from .explainer import ExplainConfig, explain
 from .masking import MaskerSpec
@@ -137,24 +137,28 @@ def synthesize(
     substitute: Model | None,
     cfg: SynthConfig,
     ledger: QueryLedger | None = None,
-    tree=None,
 ) -> SynthResult:
     """Elitist (1+lambda) search for a sample targeting cfg.target_class.
 
     Deterministic under cfg.seed; candidates are scored in index order.
     Budget exhaustion mid-run returns the best-so-far with the truncation
-    flag set.
+    flag set. Raises ModelOutputError if a victim output is mis-shaped or
+    not finite.
     """
+    # Looked up at call time, so a wrapper installed on
+    # core.build_partition_tree sees every build.
     from .core import build_partition_tree
 
-    if tree is None:
-        tree = build_partition_tree(cfg.masker.grid)
+    tree = build_partition_tree(cfg.masker.grid)
     n_cells = cfg.masker.grid.n_cells
     if n_cells != victim.n_cells:
         raise ValueError("masker grid does not match the victim input")
     lo, hi = cfg.clamp
     rng = make_rng(derive_seed(cfg.seed, "synth-init"))
     alpha, beta = cfg.weights.alpha, cfg.weights.beta
+
+    def victim_output(x: np.ndarray) -> np.ndarray:
+        return checked_outputs(victim, x.reshape(1, -1))[0]
 
     def objective(x: np.ndarray, step: int):
         """(objective, class term, disagreement term, victim output)."""
@@ -175,7 +179,7 @@ def synthesize(
         if beta > 0:
             if ledger is not None:
                 ledger.charge(1, "synth.disagree")
-            victim_out = victim.evaluate_one(x)
+            victim_out = victim_output(x)
             sub_out = (
                 substitute.evaluate_one(x)
                 if substitute is not None
@@ -206,7 +210,7 @@ def synthesize(
         best_obj, best_class, best_dis, best_victim_out = objective(best, 0)
     except BudgetExhausted:
         if label_reserved:
-            best_victim_out = victim.evaluate_one(best)
+            best_victim_out = victim_output(best)
         return SynthResult(best, trace, True, best_victim_out, float("-inf"))
 
     lam = cfg.search.population
@@ -235,15 +239,8 @@ def synthesize(
             best_obj, best_class, best_dis, best_victim_out = results[pick]
         trace.append(TraceRow(step, best_obj, best_class, best_dis, used()))
 
+    # With beta > 0 every kept objective holds its victim output; with
+    # beta = 0 the label was reserved above, or there is no ledger.
     if best_victim_out is None:
-        if label_reserved:
-            best_victim_out = victim.evaluate_one(best)
-        else:
-            try:
-                if ledger is not None:
-                    ledger.charge(1, "synth.label")
-                best_victim_out = victim.evaluate_one(best)
-            except BudgetExhausted:
-                truncated = True
-
+        best_victim_out = victim_output(best)
     return SynthResult(best, trace, truncated, best_victim_out, best_obj)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,12 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owenexplain.cli import main
+from owenexplain.cli import build_parser, main
 from owenexplain.tensorio import read_tensor, write_tensor
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def exit_code(*argv) -> int:
+    """run's exit code, also where argparse exits with a usage error."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestTensorIO:
@@ -91,6 +100,18 @@ class TestExplainCommand:
         assert max(abs(v) for v in pn["values"]) <= 1.0
         assert pn["method"] == "partition+normalized"
         assert pn["base_value"] == pr["base_value"]
+
+    @pytest.mark.parametrize("word", ["unlimited", "none", "inf"])
+    def test_unlimited_max_evals_overrides_config_file(self, tmp_path, word):
+        cfg, out, emitted = tmp_path / "c.json", tmp_path / "a.json", tmp_path / "e.json"
+        cfg.write_text(json.dumps({"explainer": {"max_evals": 64}}))
+        assert run("explain", "--config", str(cfg), "--victim", "linear_softmax",
+                   "--input-shape", "12,12", "--block", "1,1", "--random", "--classes", "0",
+                   "--max-evals", word, "--emit-config", str(emitted), "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["max_evals"] is None
+        assert payload["evals_used"] > 64
+        assert json.loads(emitted.read_text())["explainer"]["max_evals"] is None
 
     def test_shape_mismatch_exit_two(self, tmp_path):
         tensor = tmp_path / "x.tnsr"
@@ -179,6 +200,19 @@ class TestSynthCommand:
         assert lines[0] == "step,objective,class_obj_term,disagreement_term,evals_used_cum"
         objectives = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(objectives[i] <= objectives[i + 1] + 1e-15 for i in range(len(objectives) - 1))
+
+
+    # With alpha = 0 no explanation runs, so only the synthesizer's own
+    # victim reads, for the disagreement term, see the output.
+    def test_nan_victim_output_exits_five(self, tmp_path, monkeypatch, capsys):
+        from owenexplain.blackbox import LinearSoftmaxVictim
+        monkeypatch.setattr(LinearSoftmaxVictim, "evaluate",
+                            lambda self, batch: np.full((len(batch), self.num_classes), np.nan))
+        out, trace = tmp_path / "s.tnsr", tmp_path / "t.csv"
+        assert run("synth", "--victim", "linear_softmax", "--alpha", "0",
+                   "--steps", "3", "--out", str(out), "--trace", str(trace)) == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
 
 
 class TestExtractCommand:
@@ -308,6 +342,69 @@ class TestConfigHandling:
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestFlags:
+    def test_config_flags_name_config_keys(self):
+        from owenexplain.config import DEFAULTS
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        keys = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                section, _, key = action.dest.partition(".")
+                if key:
+                    assert key in DEFAULTS.get(section, {}), (command, action.dest)
+                if key or action.dest == "seed":
+                    assert action.default is argparse.SUPPRESS, (command, action.dest)
+                    keys.add(action.dest)
+        assert {"seed", "explainer.max_evals", "topk.k", "extraction.labels"} <= keys
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--random", "--input-shape", "6,x"],
+        ["explain", "--random", "--block", "2,x"],
+        ["explain", "--random", "--classes", "x"],
+        ["oracle", "shapley", "--random", "--classes", "x"],
+        ["synth", "--budget", "abc"],
+        ["extract", "--topk", "x"],
+    ], ids=["input-shape", "block", "explain-classes", "oracle-classes", "synth-budget", "topk"])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert exit_code(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_classes_not_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"explainer": {"classes": "x"}}))
+        assert run("explain", "--config", str(cfg), "--random",
+                   "--out", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == "error: classes must be all or a class index, got 'x'\n"
+
+    # --topk and --labels together set the topk section; an invalid pair
+    # is still emitted before it fails with exit 2.
+    @pytest.mark.parametrize("topk, labels, section", [
+        (None, None, {"mode": "all", "k": None}),
+        ("1", None, {"mode": "all", "k": 1}),
+        ("all", None, {"mode": "all", "k": None}),
+        (None, "soft", {"mode": "soft", "k": None}),
+        ("1", "soft", {"mode": "soft", "k": 1}),
+        ("all", "soft", {"mode": "all", "k": None}),
+        ("2", "hard", {"mode": "hard", "k": 2}),
+        ("all", "hard", {"mode": "hard", "k": None}),
+    ])
+    def test_topk_and_labels_resolve(self, tmp_path, topk, labels, section):
+        emitted = tmp_path / "e.json"
+        argv = ["extract", "--input-shape", "2,2", "--block", "1,1", "--mode", "random",
+                "--budget", "20", "--rounds", "1", "--emit-config", str(emitted),
+                "--out", str(tmp_path / "r.csv")]
+        argv += ["--topk", topk] if topk else []
+        argv += ["--labels", labels] if labels else []
+        assert run(*argv) in (0, 2)
+        cfg = json.loads(emitted.read_text())
+        assert cfg["topk"] == section
+        assert cfg["extraction"]["labels"] == (labels or "soft")
 
 
 class TestDeterminism:
