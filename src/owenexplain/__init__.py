@@ -24,7 +24,14 @@ from .core import (
     derive_seed,
     make_rng,
 )
-from .explainer import BudgetTooSmall, ExplainConfig, choose_depth, explain, explain_all_classes
+from .explainer import (
+    BudgetTooSmall,
+    ExplainConfig,
+    choose_depth,
+    explain,
+    explain_all_classes,
+    explain_cost,
+)
 from .extraction import (
     ExtractionConfig,
     ExtractionReport,
@@ -96,6 +103,7 @@ __all__ = [
     "exact_shapley",
     "explain",
     "explain_all_classes",
+    "explain_cost",
     "group_uniform_shapley",
     "kl_clone_loss",
     "make_rng",

@@ -39,13 +39,23 @@ _ORDER_NAMES = {"priority": "priority_abs", "bfs": "breadth_first"}
 def _parse_max_evals(text: str):
     if text.lower() in {"unlimited", "none", "inf"}:
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or unlimited, got {text!r}"
+        ) from None
 
 
 def _parse_int_list(text: str) -> list[int]:
-    values = [int(p) for p in text.split(",") if p.strip() != ""]
+    try:
+        values = [int(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(f"no integers in {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 6,6, got {text!r}"
+        )
     return values
 
 
@@ -57,13 +67,18 @@ def _parse_order(text: str) -> str:
 
 
 def _parse_topk(text: str):
-    return "all" if text == "all" else int(text)
+    if text == "all":
+        return "all"
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer k or all, got {text!r}") from None
 
 
 def _parse_groups(text: str) -> list[list[int]]:
     try:
         return [_parse_int_list(part) for part in text.split("|")]
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"malformed group string {text!r}") from exc
 
 

@@ -1,24 +1,25 @@
 """Budget-constrained hierarchical partition explainer.
 
-The recursion bisects the partition tree, spending at most two new model
+The recursion bisects the partition tree, spending two new model
 evaluations per expansion, and stops when the next expansion would exceed
-max_evals. Un-expanded frontier nodes spread their credit uniformly over
-their atoms, so attributions plus the base value reproduce the model
-output at every budget.
+max_evals or the ledger. Un-expanded frontier nodes spread their credit
+uniformly over their atoms, so attributions plus the base value reproduce
+the model output at every budget.
 
 Credit bookkeeping: an expansion computes the symmetrized two-player
 split of the node span (each child evaluated alone, all other atoms off)
-and apportions the node's carried credit by that split's
-ratio, with the right child receiving the exact remainder. This conserves
-the credit sum through every step and keeps atoms the model ignores at
-exactly zero. For an additive game it is exact as long as no node's atom
-values sum to (nearly) zero. Where they cancel, the node's credit is at
-most prune_eps, so it is not expanded, or its children's spans cancel and
-the split falls back to halves; either way its atoms share a near-zero
-credit evenly. Weights [1, -1] from a zero baseline at x = [1, 1] give
-[0, 0], not the Shapley values [1, -1]. Refinement priority is the
-largest per-class absolute credit, so single-class and all-class requests
-consume identical evaluation streams.
+and apportions the node's carried credit by that split's ratio, with the
+right child receiving the exact remainder. This conserves the credit sum
+through every step and keeps atoms the model ignores at exactly zero.
+Where the children's spans cancel, the ratio is undefined and the residual
+credit - span is shared equally on top of each child's own span, so the
+split is exact for every additive game, cancelling ones included.
+Refinement priority is the largest per-class absolute credit, so
+single-class and all-class requests consume identical evaluation streams.
+
+Every internal node is expanded in turn (under breadth_first, only those
+above choose_depth's frontier) until the budget stops the next one, so a
+priority_abs explanation's charge has the closed form explain_cost.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class ExplainConfig:
     max_evals: int | None = 128
     target: int | str = "all"
     order: str = "priority_abs"
-    prune_eps: float = 1e-12
 
     def __post_init__(self):
         if self.max_evals is not None and self.max_evals < 2:
@@ -83,6 +83,24 @@ def choose_depth(max_evals: int | None, tree: PartitionTree) -> int:
     return depth
 
 
+def explain_cost(
+    max_evals: int | None, tree: PartitionTree, ledger: QueryLedger | None = None
+) -> int:
+    """Evaluations a priority_abs explanation charges, root pair included,
+    when it starts with the ledger's current room:
+    2 + 2 * min(internal nodes, (max_evals - 2) // 2, (room - 2) // 2).
+
+    Assumes the root pair fits; with less than 2 left, explain raises
+    BudgetExhausted instead.
+    """
+    expansions = sum(1 for node in tree.nodes if not node.is_leaf)
+    room = ledger.remaining if ledger is not None else None
+    for cap in (max_evals, room):
+        if cap is not None:
+            expansions = min(expansions, (cap - 2) // 2)
+    return 2 + 2 * expansions
+
+
 @dataclass
 class _Entry:
     node_id: int
@@ -96,9 +114,9 @@ def _split_credit(
     span = s_left + s_right
     left = np.empty_like(credit)
     degenerate = np.abs(span) <= 1e-12 * np.maximum(np.abs(s_left), np.abs(s_right))
-    safe = ~degenerate & (span != 0.0)
-    left[safe] = credit[safe] * (s_left[safe] / span[safe])
-    left[~safe] = 0.5 * credit[~safe]
+    ratio = ~degenerate
+    left[ratio] = credit[ratio] * (s_left[ratio] / span[ratio])
+    left[degenerate] = s_left[degenerate] + 0.5 * (credit[degenerate] - span[degenerate])
     right = credit - left
     return left, right
 
@@ -143,12 +161,6 @@ def _explain_vector(
         node = tree.nodes[entry.node_id]
         if node.is_leaf:
             final.append(entry)
-            continue
-        if float(np.abs(entry.credit).max()) <= cfg.prune_eps:
-            final.append(entry)
-            if cfg.order == "priority_abs":
-                final.extend(item[-1] for item in heap)
-                break
             continue
         if depth_limit is not None and node.depth >= depth_limit:
             final.append(entry)

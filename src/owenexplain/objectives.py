@@ -32,9 +32,11 @@ class ObjectiveWeights:
 def class_objective(attr: Attribution) -> float:
     """Sum of per-atom attributions toward the targeted class.
 
-    For any efficiency-preserving method this equals the class output
-    minus the base value, so maximizing it maximizes the class output up
-    to an input-independent constant.
+    For any efficiency-preserving method, the partition explainer at every
+    budget included, this is f_c(x) - f_c(fill(x)): the class output minus
+    the base value. The synthesis objective is that difference, read from
+    the explainer's root pair (synthesis.synthesize); how the explainer
+    refines its credit does not enter it.
     """
     return attr.total()
 

@@ -1,11 +1,16 @@
 """Gradient-free class-targeted sample synthesis.
 
 An elitist (1+lambda) evolution loop maximizes
-alpha * class_objective(budgeted attribution toward the target class)
-+ beta * disagreement(victim output, substitute output), with the
-attribution budget following a staged decay schedule. The kept-best
-objective trace is monotone non-decreasing and every victim access is
-charged to the ledger.
+alpha * class term + beta * disagreement(victim output, substitute output).
+The class term is f_c(x) - f_c(fill(x)) for the target class c: by
+efficiency, the sum of the budgeted attribution toward c at every budget,
+so it is read from the explainer's root pair alone. The attribution budget
+follows a staged decay schedule, and each scoring is charged what a
+priority_abs explanation at the stage's budget charges (explain_cost):
+the root pair is evaluated, and the refinement coalitions, which cannot
+change the class term, are charged to the ledger but never evaluated. The
+kept-best objective trace is monotone non-decreasing and every victim
+access is charged to the ledger.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import Model, checked_outputs
-from .core import BudgetExhausted, QueryLedger, derive_seed, make_rng
-from .explainer import ExplainConfig, explain
+from .core import BudgetExhausted, PartitionTree, QueryLedger, derive_seed, make_rng
+from .explainer import explain  # noqa: F401  perfbench/tracing.py patches synthesis.explain
+from .explainer import explain_cost
 from .masking import MaskerSpec
-from .objectives import ObjectiveWeights, class_objective, disagreement, saturated
+from .objectives import ObjectiveWeights, disagreement, saturated
+from .oracle import VectorGame
 
 SHAP_OFF = "shap_off"
 AFTER_END_POLICIES = ("freeze_shap", "hold_last")
@@ -132,6 +139,28 @@ def _uniform_substitute(num_classes: int) -> np.ndarray:
     return np.full(num_classes, 1.0 / num_classes)
 
 
+def _class_term(
+    x: np.ndarray,
+    victim: Model,
+    masker: MaskerSpec,
+    tree: PartitionTree,
+    max_evals: int,
+    target: int,
+    ledger: QueryLedger | None,
+) -> float:
+    """f_target(x) - f_target(fill(x)), charged as one priority_abs
+    explanation at max_evals: the root pair is evaluated and the rest of
+    explain_cost is charged under the same tag, unevaluated. Raises
+    BudgetExhausted, charging nothing, if the root pair does not fit.
+    """
+    cost = explain_cost(max_evals, tree, ledger)
+    game = VectorGame(victim, x, masker, ledger, tag="explain")
+    game.fetch([0, game.full_bits])
+    if ledger is not None and cost > 2:
+        ledger.charge(cost - 2, "explain")
+    return float(game.row(game.full_bits)[target] - game.row(0)[target])
+
+
 def synthesize(
     victim: Model,
     substitute: Model | None,
@@ -153,6 +182,8 @@ def synthesize(
     n_cells = cfg.masker.grid.n_cells
     if n_cells != victim.n_cells:
         raise ValueError("masker grid does not match the victim input")
+    if not 0 <= cfg.target_class < victim.num_classes:
+        raise ValueError(f"target class {cfg.target_class} outside [0, {victim.num_classes})")
     lo, hi = cfg.clamp
     rng = make_rng(derive_seed(cfg.seed, "synth-init"))
     alpha, beta = cfg.weights.alpha, cfg.weights.beta
@@ -166,15 +197,9 @@ def synthesize(
         victim_out = None
         stage = schedule_lookup(cfg.schedule, step)
         if alpha > 0 and stage is not SHAP_OFF:
-            explain_cfg = ExplainConfig(
-                masker=cfg.masker,
-                tree=tree,
-                max_evals=stage,
-                target=cfg.target_class,
-                order="priority_abs",
+            class_term = _class_term(
+                x, victim, cfg.masker, tree, stage, cfg.target_class, ledger
             )
-            attr = explain(x, victim, explain_cfg, ledger)
-            class_term = class_objective(attr)
         dis_term = 0.0
         if beta > 0:
             if ledger is not None:

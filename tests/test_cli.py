@@ -375,6 +375,21 @@ class TestFlags:
         assert "error: " in err and "Traceback" not in err
         assert not out.exists()
 
+    # argparse prints a type's own message, not the private helper's name
+    @pytest.mark.parametrize("argv, message", [
+        (["explain", "--random", "--block", "2,x"],
+         "argument --block: expected comma-separated integers such as 6,6, got '2,x'"),
+        (["extract", "--topk", "x"], "argument --topk: expected an integer k or all, got 'x'"),
+        (["synth", "--budget", "abc"],
+         "argument --budget: expected an integer or unlimited, got 'abc'"),
+    ], ids=["int-list", "topk", "max-evals"])
+    def test_malformed_value_message_says_what_flag_expects(self, tmp_path, capsys, argv,
+                                                            message):
+        assert exit_code(*argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: {message}")
+        assert "_parse" not in err
+
     def test_config_file_classes_not_an_integer(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"explainer": {"classes": "x"}}))

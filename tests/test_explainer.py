@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from owenexplain import (
     BudgetTooSmall,
@@ -7,13 +9,16 @@ from owenexplain import (
     MaskerSpec,
     Model,
     QueryLedger,
+    TopKConfig,
     VictimSpec,
+    WrappedModel,
     build_atom_grid,
     build_partition_tree,
     choose_depth,
     exact_shapley,
     explain,
     explain_all_classes,
+    explain_cost,
     make_rng,
     make_victim,
     masked_game,
@@ -78,22 +83,27 @@ class TestExplainContracts:
         expected = [weights[2 * a : 2 * a + 2] @ x[2 * a : 2 * a + 2] for a in range(4)]
         assert np.allclose(attr.values, expected, atol=1e-9)
 
-    def test_constant_model_stops_at_root(self):
-        class Constant:
-            num_classes = 2
-            input_shape = (4,)
-            n_cells = 4
-            def evaluate(self, batch):
-                return np.tile([0.25, 0.75], (len(batch), 1))
-            def evaluate_one(self, x):
-                return np.array([0.25, 0.75])
+    @staticmethod
+    def constant_model(input_shape):
+        class Constant(Model):
+            num_classes = 3
 
+            def evaluate(self, batch):
+                return np.tile([0.25, 0.5, 0.25], (len(batch), 1))
+
+        model = Constant()
+        model.input_shape = input_shape
+        return model
+
+    def test_constant_model_charges_closed_form_cost(self):
+        # zero credit everywhere: every node is still expanded while budget
+        # remains, and every atom stays at exactly zero
         grid = build_atom_grid((4,), (1,))
         masker = MaskerSpec(grid=grid, fill="mean")
-        cfg = ExplainConfig(masker=masker, tree=build_partition_tree(grid),
-                            max_evals=1000, target=0)
-        attr = explain(np.ones(4), Constant(), cfg)
-        assert attr.evals_used == 2
+        tree = build_partition_tree(grid)
+        cfg = ExplainConfig(masker=masker, tree=tree, max_evals=1000, target=0)
+        attr = explain(np.ones(4), self.constant_model((4,)), cfg)
+        assert attr.evals_used == explain_cost(1000, tree) == 8
         assert np.array_equal(attr.values, np.zeros(4))
 
     def test_budget_below_two_rejected(self):
@@ -281,11 +291,6 @@ class TestBudgetSafetyAndConvergence:
         assert abs_err[1] > abs_err[0]
         assert sq_err[1] < sq_err[0]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="cancelling credit: the root's credit 1 - 1 = 0 is at most prune_eps, so "
-        "the root is never split and both atoms get half of 0",
-    )
     def test_additive_game_with_cancelling_credit_matches_shapley(self):
         w = np.array([1.0, -1.0])
 
@@ -304,3 +309,87 @@ class TestBudgetSafetyAndConvergence:
         oracle = exact_shapley(masked_game(Affine(), x, masker, 0)).values
         assert np.allclose(oracle, w, atol=1e-12)
         assert np.allclose(explain(x, Affine(), cfg).values, oracle, atol=1e-9)
+
+
+def random_grid(draw):
+    """A 1-D or 2-D atom grid of at most 16 atoms."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        return build_atom_grid((n,), (draw(st.integers(1, 3)),))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    block = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    grid = build_atom_grid(shape, block)
+    assume(grid.atom_count <= 16)
+    return grid
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["linear_softmax", "dead_feature", "constant"]),
+        topk=st.sampled_from([TopKConfig("all"), TopKConfig("soft", 1), TopKConfig("hard", 1),
+                              TopKConfig("hard", 2)]),
+        max_evals=st.one_of(st.none(), st.integers(2, 40)),
+        order=st.sampled_from(["priority_abs", "breadth_first"]),
+        spent=st.integers(0, 5),
+        room=st.one_of(st.none(), st.integers(2, 40)),
+        seed=st.integers(0, 100),
+    )
+    def test_charge_is_closed_form_and_within_ledger(self, data, kind, topk, max_evals,
+                                                     order, spent, room, seed):
+        grid = random_grid(data.draw)
+        if kind == "constant":
+            inner = TestExplainContracts.constant_model(grid.input_shape)
+        else:
+            inner = make_victim(VictimSpec(kind=kind, seed=seed, num_classes=3,
+                                           input_shape=grid.input_shape))
+        model = WrappedModel(inner, topk)
+        tree = build_partition_tree(grid)
+        cfg = ExplainConfig(masker=MaskerSpec(grid=grid, fill="mean"), tree=tree,
+                            max_evals=max_evals, target=0, order=order)
+        ledger = QueryLedger(budget=None if room is None else spent + room)
+        if spent:
+            ledger.charge(spent, "other")
+        cost = explain_cost(max_evals, tree, ledger)
+        x = make_rng(seed).uniform(0, 1, grid.n_cells)
+        attr = explain(x, model, cfg, ledger)
+        # breadth_first stops at choose_depth's frontier, so it may spend less
+        if order == "priority_abs":
+            assert attr.evals_used == cost
+        assert attr.evals_used <= cost
+        assert ledger.evals_used == spent + attr.evals_used
+        assert ledger.budget is None or ledger.evals_used <= ledger.budget
+        assert max_evals is None or cost <= max_evals
+        full = model.evaluate_one(x)[0]
+        assert abs(attr.values.sum() - (full - attr.base_value)) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        classes=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_additive_games_match_shapley_at_unlimited_budget(self, n, classes, data):
+        # small integer weights cancel often; dyadic inputs keep every sum exact
+        w = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * classes,
+                                        max_size=n * classes)), dtype=np.float64)
+        w = w.reshape(classes, n)
+        x = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                                        min_size=n, max_size=n)))
+
+        class Affine(Model):
+            num_classes = classes
+            input_shape = (n,)
+
+            def evaluate(self, batch):
+                return np.asarray(batch) @ w.T
+
+        grid = build_atom_grid((n,), (1,))
+        masker = MaskerSpec(grid=grid, fill="baseline", baseline=np.zeros(n))
+        cfg = ExplainConfig(masker=masker, tree=build_partition_tree(grid), max_evals=None)
+        attrs = explain_all_classes(x, Affine(), cfg)
+        for c in range(classes):
+            oracle = exact_shapley(masked_game(Affine(), x, masker, c)).values
+            assert np.allclose(oracle, w[c] * x, atol=1e-12)
+            assert np.allclose(attrs[c].values, oracle, atol=1e-9)

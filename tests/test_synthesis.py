@@ -1,17 +1,28 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owenexplain import (
+    ExplainConfig,
     MaskerSpec,
     QueryLedger,
     SHAP_OFF,
+    TopKConfig,
     VictimSpec,
+    WrappedModel,
     build_atom_grid,
+    class_objective,
+    explain,
     make_victim,
     parse_schedule,
     schedule_lookup,
     synthesize,
 )
+from owenexplain import synthesis
+from owenexplain.blackbox import VICTIM_KINDS
 from owenexplain.objectives import ObjectiveWeights
 from owenexplain.synthesis import DEFAULT_SCHEDULE_TEXT, SearchParams, SynthConfig
 
@@ -145,3 +156,101 @@ class TestSynthesize:
         assert deltas[6:] == [0, 0, 0]  # shap_off: no further charges
         assert all(row.class_obj_term == res.trace[5].class_obj_term
                    for row in res.trace[6:])
+
+
+root_pair_class_term = synthesis._class_term
+
+
+def explainer_class_term(x, victim, masker, tree, max_evals, target, ledger):
+    """Reference class term: the full budgeted explanation, charged to the
+    ledger and summed. Every call checks it against the uncharged root-pair
+    term."""
+    cfg = ExplainConfig(masker=masker, tree=tree, max_evals=max_evals,
+                        target=target, order="priority_abs")
+    total = class_objective(explain(x, victim, cfg, ledger))
+    root = root_pair_class_term(x, victim, masker, tree, max_evals, target, None)
+    assert abs(total - root) <= 1e-12 * max(1.0, abs(root))
+    return total
+
+
+def close(a, b):
+    return a == b or abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+WRAPPERS = [TopKConfig("soft", 1), TopKConfig("hard", 1), TopKConfig("soft", 2),
+            TopKConfig("hard", 2), TopKConfig("all")]
+SCHEDULES = [("0:99999:8", "freeze_shap"), ("0:3:16,3:6:6", "freeze_shap"),
+             ("0:2:60,2:4:7", "hold_last")]
+SYNTH_CASES = dict(
+    kind=st.sampled_from(VICTIM_KINDS),
+    victim_seed=st.integers(0, 50),
+    topk=st.sampled_from(WRAPPERS),
+    block=st.sampled_from([(1, 1), (2, 2), (3, 3), (2, 3)]),
+    schedule=st.sampled_from(SCHEDULES),
+    beta=st.sampled_from([0.0, 0.5]),
+    budget=st.sampled_from([7, 60, 400, None]),
+    target=st.integers(0, 3),
+    seed=st.integers(0, 1000),
+)
+
+
+def synthesize_both(reference, kind, victim_seed, topk, block, schedule, beta, budget,
+                    target, seed):
+    """(result, ledger) with the root-pair class term, then with reference."""
+    victim = WrappedModel(
+        make_victim(VictimSpec(kind=kind, seed=victim_seed, num_classes=4,
+                               input_shape=(6, 6))),
+        topk,
+    )
+    cfg = SynthConfig(
+        target_class=target,
+        masker=MaskerSpec(grid=build_atom_grid((6, 6), block), fill="mean"),
+        weights=ObjectiveWeights(alpha=1.0, beta=beta),
+        schedule=parse_schedule(schedule[0], after_end=schedule[1]),
+        search=SearchParams(population=3, steps=8),
+        seed=seed,
+    )
+    runs = []
+    for term in (root_pair_class_term, reference):
+        ledger = QueryLedger(budget=budget)
+        with mock.patch.object(synthesis, "_class_term", term):
+            runs.append((synthesize(victim, None, cfg, ledger), ledger))
+    return runs
+
+
+class TestRootPairObjective:
+    """The root-pair class term against the full explainer's summed
+    attribution: the same charges and truncation points, and objectives
+    that differ only in rounding."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**SYNTH_CASES)
+    def test_charges_match_full_explainer(self, **case):
+        # The reference hands the search the root-pair term, so both runs
+        # keep the same samples, and any difference is in the charges. With
+        # hard labels, candidates often tie exactly, and the explainer's
+        # rounding (1.4e-17 for a true 0, say) would break such ties.
+        def reference(*args):
+            explainer_class_term(*args)
+            return root_pair_class_term(*args[:-1], None)
+
+        (got, ledger), (ref, ref_ledger) = synthesize_both(reference, **case)
+        assert ledger.by_tag == ref_ledger.by_tag
+        assert ledger.evals_used == ref_ledger.evals_used
+        assert got.truncated == ref.truncated
+        assert [r.evals_used_cum for r in got.trace] == [r.evals_used_cum for r in ref.trace]
+        assert got.sample.tobytes() == ref.sample.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**{**SYNTH_CASES, "topk": st.sampled_from([t for t in WRAPPERS if t.mode != "hard"])})
+    def test_soft_labels_keep_full_explainer_samples(self, **case):
+        (got, ledger), (ref, ref_ledger) = synthesize_both(explainer_class_term, **case)
+        assert ledger.by_tag == ref_ledger.by_tag
+        assert got.truncated == ref.truncated
+        assert [r.evals_used_cum for r in got.trace] == [r.evals_used_cum for r in ref.trace]
+        assert got.sample.tobytes() == ref.sample.tobytes()
+        assert close(got.objective, ref.objective)
+        for row, ref_row in zip(got.trace, ref.trace, strict=True):
+            assert close(row.objective, ref_row.objective)
+            assert close(row.class_obj_term, ref_row.class_obj_term)
+            assert row.disagreement_term == ref_row.disagreement_term
