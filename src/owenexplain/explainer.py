@@ -93,7 +93,7 @@ def explain_cost(
     Assumes the root pair fits; with less than 2 left, explain raises
     BudgetExhausted instead.
     """
-    expansions = sum(1 for node in tree.nodes if not node.is_leaf)
+    expansions = len(tree.nodes) - len(tree.leaf_ids)
     room = ledger.remaining if ledger is not None else None
     for cap in (max_evals, room):
         if cap is not None:

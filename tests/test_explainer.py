@@ -50,6 +50,18 @@ def setup(n_cells=8, fill="baseline", block=1, seed=3):
     return model, masker, tree
 
 
+class Constant(Model):
+    """The same output for every input, so every credit is zero."""
+
+    num_classes = 3
+
+    def __init__(self, input_shape):
+        self.input_shape = input_shape
+
+    def evaluate(self, batch):
+        return np.tile([0.25, 0.5, 0.25], (len(batch), 1))
+
+
 class TestExplainContracts:
     def test_budget_two_splits_root_uniformly(self):
         model, masker, tree = setup()
@@ -83,18 +95,6 @@ class TestExplainContracts:
         expected = [weights[2 * a : 2 * a + 2] @ x[2 * a : 2 * a + 2] for a in range(4)]
         assert np.allclose(attr.values, expected, atol=1e-9)
 
-    @staticmethod
-    def constant_model(input_shape):
-        class Constant(Model):
-            num_classes = 3
-
-            def evaluate(self, batch):
-                return np.tile([0.25, 0.5, 0.25], (len(batch), 1))
-
-        model = Constant()
-        model.input_shape = input_shape
-        return model
-
     def test_constant_model_charges_closed_form_cost(self):
         # zero credit everywhere: every node is still expanded while budget
         # remains, and every atom stays at exactly zero
@@ -102,7 +102,7 @@ class TestExplainContracts:
         masker = MaskerSpec(grid=grid, fill="mean")
         tree = build_partition_tree(grid)
         cfg = ExplainConfig(masker=masker, tree=tree, max_evals=1000, target=0)
-        attr = explain(np.ones(4), self.constant_model((4,)), cfg)
+        attr = explain(np.ones(4), Constant((4,)), cfg)
         assert attr.evals_used == explain_cost(1000, tree) == 8
         assert np.array_equal(attr.values, np.zeros(4))
 
@@ -340,7 +340,7 @@ class TestProperties:
                                                      order, spent, room, seed):
         grid = random_grid(data.draw)
         if kind == "constant":
-            inner = TestExplainContracts.constant_model(grid.input_shape)
+            inner = Constant(grid.input_shape)
         else:
             inner = make_victim(VictimSpec(kind=kind, seed=seed, num_classes=3,
                                            input_shape=grid.input_shape))
