@@ -41,51 +41,16 @@ class Model:
         return self.evaluate(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
-def _check_prob_vector(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size < 1:
-        raise ValueError("probability vector is empty")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > _PROB_ATOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
-
-
-def _topk_indices(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries; ties broken by lower class index."""
-    order = np.argsort(-p, kind="stable")
-    return order[:k]
-
-
 def wrap_topk_soft(raw_probs, k: int) -> np.ndarray:
     """Top-k probabilities kept, leftover mass spread uniformly over the
-    masked classes. Identity when k equals the class count.
-
-    Leftover shares can underflow for huge class counts; exact float64
-    arithmetic is kept and no flooring is applied.
-    """
-    p = _check_prob_vector(raw_probs)
-    c = p.size
-    if not 1 <= k <= c:
-        raise ValueError(f"k must be in [1, {c}], got {k}")
-    if k == c:
-        return p.copy()
-    top = _topk_indices(p, k)
-    out = np.full(c, (1.0 - float(p[top].sum())) / (c - k), dtype=np.float64)
-    out[top] = p[top]
-    return out
+    masked classes; TopKConfig("soft", k) applied to one row."""
+    return TopKConfig("soft", k).apply_batch(np.reshape(raw_probs, (1, -1)))[0]
 
 
 def wrap_topk_hard(raw_probs, k: int) -> np.ndarray:
-    """1/k on each of the k top classes, 0 elsewhere."""
-    p = _check_prob_vector(raw_probs)
-    c = p.size
-    if not 1 <= k <= c:
-        raise ValueError(f"k must be in [1, {c}], got {k}")
-    out = np.zeros(c, dtype=np.float64)
-    out[_topk_indices(p, k)] = 1.0 / k
-    return out
+    """1/k on each of the k top classes, 0 elsewhere; TopKConfig("hard", k)
+    applied to one row."""
+    return TopKConfig("hard", k).apply_batch(np.reshape(raw_probs, (1, -1)))[0]
 
 
 @dataclass(frozen=True)
@@ -103,12 +68,14 @@ class TopKConfig:
 
     def apply_batch(self, raw: np.ndarray) -> np.ndarray:
         """Wrap a (rows, classes) batch of model outputs; ModelOutputError
-        if any entry is not finite, in every mode."""
+        if any entry is not finite, in every mode. The top k are the k
+        largest entries, ties going to the lower class index. Soft mode at
+        k equal to the class count is the identity; leftover shares keep
+        exact float64 arithmetic, with no flooring."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2:
             raise ValueError("batch must be 2-D")
-        if not np.isfinite(raw).all():
-            raise ModelOutputError("model returned non-finite outputs")
+        _finite(raw)
         if self.mode == "all":
             return raw.copy()
         if np.any(raw < 0):
@@ -152,9 +119,16 @@ class WrappedModel(Model):
         return self.topk.apply_batch(_shaped_outputs(self.inner, batch))
 
 
+def _finite(raw: np.ndarray) -> np.ndarray:
+    """raw itself; ModelOutputError if an entry is not finite."""
+    if not np.isfinite(raw).all():
+        raise ModelOutputError("model returned non-finite outputs")
+    return raw
+
+
 def _shaped_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
-    """model.evaluate(batch); ModelOutputError unless it is one row of
-    num_classes outputs per input row. Finiteness is left to apply_batch."""
+    """model.evaluate(batch) as float64; ModelOutputError unless it is one
+    row of num_classes outputs per input row."""
     raw = np.asarray(model.evaluate(batch), dtype=np.float64)
     expected = (len(batch), model.num_classes)
     if raw.shape != expected:
@@ -164,17 +138,19 @@ def _shaped_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
 
 def checked_outputs(model: Model, batch: np.ndarray) -> np.ndarray:
     """model.evaluate(batch) as float64; ModelOutputError unless it is one
-    row of num_classes finite outputs per input row."""
-    raw = _shaped_outputs(model, batch)
-    if not np.isfinite(raw).all():
-        raise ModelOutputError("model returned non-finite outputs")
-    return raw
+    row of num_classes finite outputs per input row. Every batch is checked
+    once: a WrappedModel's evaluate checks its own outputs, so they are
+    returned as they come."""
+    if isinstance(model, WrappedModel):
+        return model.evaluate(batch)
+    return _finite(_shaped_outputs(model, batch))
 
 
 def query(
     model: Model, batch: np.ndarray, topk: TopKConfig, ledger: QueryLedger
 ) -> np.ndarray:
-    """Charge the ledger for the batch and return wrapped outputs.
+    """Charge the ledger for the batch and return the outputs model shows
+    through topk (WrappedModel.evaluate).
 
     Raises ModelOutputError if the model's outputs are mis-shaped or not
     finite; the batch stays charged.
@@ -183,7 +159,7 @@ def query(
     if batch.ndim != 2 or batch.shape[1] != model.n_cells:
         raise ValueError("batch shape does not match model input")
     ledger.charge(batch.shape[0], "query")
-    return topk.apply_batch(_shaped_outputs(model, batch))
+    return WrappedModel(model, topk).evaluate(batch)
 
 
 VICTIM_KINDS = ("linear_softmax", "quadrant_bright", "group_symmetric", "dead_feature")

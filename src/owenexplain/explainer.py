@@ -20,6 +20,16 @@ single-class and all-class requests consume identical evaluation streams.
 Every internal node is expanded in turn (under breadth_first, only those
 above choose_depth's frontier) until the budget stops the next one, so a
 priority_abs explanation's charge has the closed form explain_cost.
+
+At unlimited budget this is the proportional split of the whole tree,
+which is the Shapley value on additive games but on other games neither
+the Shapley value nor the Owen value of the tree (shap's
+PartitionExplainer recursion). Error max|phi - Shapley| / max|Shapley|,
+median / worst of 10 seeds (zero baseline, 1x1 atoms, weight_scale 3,
+class 0), for this explainer and for the tree's Owen value:
+linear_softmax 4x4, 0.66 / 2.47 and 0.105 / 0.40; linear_softmax 8,
+0.15 / 0.80 and 0.077 / 0.36; quadrant_bright 4x4, 0.064 / 1.94 and
+0.0076 / 0.013.
 """
 
 from __future__ import annotations
@@ -121,13 +131,18 @@ def _split_credit(
     return left, right
 
 
-def _explain_vector(
+def explain_all_classes(
     x,
     model: Model,
     cfg: ExplainConfig,
-    ledger: QueryLedger | None,
+    ledger: QueryLedger | None = None,
     step_hook=None,
-):
+) -> list[Attribution]:
+    """One attribution per class from a single shared evaluation stream.
+
+    step_hook, if given, is called after every expansion with a copy of
+    each frontier node's per-class credit.
+    """
     game = VectorGame(model, x, cfg.masker, ledger, tag="explain")
     tree = cfg.tree
     budget = cfg.max_evals
@@ -193,7 +208,17 @@ def _explain_vector(
     for entry in final:
         atoms = tree.nodes[entry.node_id].atoms
         values[atoms, :] += entry.credit / len(atoms)
-    return values, v_empty, game.evals_used
+    return [
+        Attribution(
+            values=values[:, c].copy(),
+            base_value=float(v_empty[c]),
+            method="partition",
+            class_index=c,
+            evals_used=game.evals_used,
+            max_evals=cfg.max_evals,
+        )
+        for c in range(model.num_classes)
+    ]
 
 
 def explain(
@@ -203,39 +228,11 @@ def explain(
     ledger: QueryLedger | None = None,
     step_hook=None,
 ) -> Attribution:
-    """Single-class budgeted attribution. cfg.target must be a class index."""
+    """Single-class budgeted attribution: cfg.target's entry of
+    explain_all_classes. cfg.target must be a class index."""
     target = cfg.target
     if not isinstance(target, int):
         raise ValueError("explain needs an integer target class; use explain_all_classes")
     if not 0 <= target < model.num_classes:
         raise ValueError(f"target class {target} outside [0, {model.num_classes})")
-    values, v_empty, used = _explain_vector(x, model, cfg, ledger, step_hook)
-    return Attribution(
-        values=values[:, target].copy(),
-        base_value=float(v_empty[target]),
-        method="partition",
-        class_index=target,
-        evals_used=used,
-        max_evals=cfg.max_evals,
-    )
-
-
-def explain_all_classes(
-    x,
-    model: Model,
-    cfg: ExplainConfig,
-    ledger: QueryLedger | None = None,
-) -> list[Attribution]:
-    """One attribution per class from a single shared evaluation stream."""
-    values, v_empty, used = _explain_vector(x, model, cfg, ledger)
-    return [
-        Attribution(
-            values=values[:, c].copy(),
-            base_value=float(v_empty[c]),
-            method="partition",
-            class_index=c,
-            evals_used=used,
-            max_evals=cfg.max_evals,
-        )
-        for c in range(model.num_classes)
-    ]
+    return explain_all_classes(x, model, cfg, ledger, step_hook)[target]

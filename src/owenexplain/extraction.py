@@ -79,19 +79,6 @@ class TrainConfig:
             raise ValueError("bad training configuration")
 
 
-def _clone_loss_batch(targets: np.ndarray, probs: np.ndarray, mode: str) -> float:
-    """Mean KL (soft) or cross-entropy (hard) of wrapped targets vs probs."""
-    eps = 1e-300
-    if mode == "soft":
-        ratio = np.where(targets > 0, targets / np.maximum(probs, eps), 1.0)
-        per = np.sum(np.where(targets > 0, targets * np.log(ratio), 0.0), axis=1)
-    else:
-        per = -np.sum(
-            np.where(targets > 0, targets * np.log(np.maximum(probs, eps)), 0.0), axis=1
-        )
-    return float(per.mean())
-
-
 def train_substitute(
     sub: SubstituteModel,
     inputs: np.ndarray,
@@ -99,12 +86,14 @@ def train_substitute(
     mode: str,
     cfg: TrainConfig,
     seed: int = 0,
-) -> tuple[SubstituteModel, float]:
-    """Minibatch gradient descent on the clone loss.
+) -> SubstituteModel:
+    """Minibatch gradient descent on the clone loss; returns the trained
+    copy of sub.
 
-    Both KL-to-distribution and CE-to-distribution have the same analytic
-    logit gradient (probs - target) for a full wrapped target
-    distribution, scaled by the substitute temperature.
+    Both KL-to-distribution (mode "soft") and CE-to-distribution (mode
+    "hard") have the same analytic logit gradient (probs - target) for a
+    full wrapped target distribution, scaled by the substitute
+    temperature, so mode is checked but does not change the step.
 
     Each step is `SubstituteModel.evaluate`'s softmax and the gradient
     update written as in-place operations on the copy's W and b, in the
@@ -112,7 +101,7 @@ def train_substitute(
     W and b are checked for finiteness at the end of every epoch (a
     non-finite entry stays non-finite under later steps), which raises
     FloatingPointError for a non-finite gradient and for an update that
-    overflows. The returned loss is the clone loss after the last epoch.
+    overflows.
     """
     if mode not in {"soft", "hard"}:
         raise ValueError("mode must be soft or hard")
@@ -157,7 +146,7 @@ def train_substitute(
                     f"non-finite substitute parameters after epoch {epoch + 1}; aborting the "
                     f"round (lr={lr}, minibatch={minibatch})"
                 )
-    return sub, _clone_loss_batch(targets, sub.evaluate(inputs), mode)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -325,7 +314,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
             histogram += np.bincount(np.argmax(y, axis=1), minlength=victim.num_classes)
 
         if train_x:
-            sub, _ = train_substitute(
+            sub = train_substitute(
                 sub,
                 np.concatenate(train_x),
                 np.concatenate(train_y),

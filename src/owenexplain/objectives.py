@@ -62,7 +62,10 @@ def normalize_shap(attr: Attribution) -> Attribution:
     )
 
 
-def _restricted_terms(victim_out, substitute_out, indices) -> tuple[np.ndarray, np.ndarray]:
+def _support_sum(victim_out, substitute_out, indices, term) -> float:
+    """Sum of term(V_i, S_i) over the given classes where V_i is not 0, in
+    ascending class order; +inf, with a warning, if the substitute puts
+    zero mass on one of them."""
     v = np.asarray(victim_out, dtype=np.float64).reshape(-1)
     s = np.asarray(substitute_out, dtype=np.float64).reshape(-1)
     if v.shape != s.shape:
@@ -70,7 +73,15 @@ def _restricted_terms(victim_out, substitute_out, indices) -> tuple[np.ndarray, 
     idx = sorted(int(i) for i in indices)
     if any(i < 0 or i >= v.size for i in idx):
         raise ValueError("index outside the class range")
-    return v[idx], s[idx]
+    total = 0.0
+    for vi, si in zip(v[idx], s[idx]):
+        if vi == 0.0:
+            continue
+        if si <= 0.0:
+            warnings.warn("substitute assigns zero mass on the victim support")
+            return math.inf
+        total += term(vi, si)
+    return float(total)
 
 
 def kl_clone_loss(victim_out, substitute_out, topk_indices) -> float:
@@ -79,30 +90,16 @@ def kl_clone_loss(victim_out, substitute_out, topk_indices) -> float:
     Returns +inf (with a warning) when the substitute puts zero mass where
     the victim does not; optimizers use the saturated variant instead.
     """
-    v, s = _restricted_terms(victim_out, substitute_out, topk_indices)
-    total = 0.0
-    for vi, si in zip(v, s):
-        if vi == 0.0:
-            continue
-        if si <= 0.0:
-            warnings.warn("substitute assigns zero mass on the victim support")
-            return math.inf
-        total += vi * math.log(vi / si)
-    return float(total)
+    return _support_sum(
+        victim_out, substitute_out, topk_indices, lambda vi, si: vi * math.log(vi / si)
+    )
 
 
 def ce_clone_loss(victim_hard, substitute_out, topk_indices) -> float:
     """-sum_i V_i ln(S_i) over the top-k support."""
-    v, s = _restricted_terms(victim_hard, substitute_out, topk_indices)
-    total = 0.0
-    for vi, si in zip(v, s):
-        if vi == 0.0:
-            continue
-        if si <= 0.0:
-            warnings.warn("substitute assigns zero mass on the victim support")
-            return math.inf
-        total -= vi * math.log(si)
-    return float(total)
+    return _support_sum(
+        victim_hard, substitute_out, topk_indices, lambda vi, si: -vi * math.log(si)
+    )
 
 
 def disagreement(victim_out, substitute_out) -> float:

@@ -173,6 +173,13 @@ def synthesize(
     Budget exhaustion mid-run returns the best-so-far with the truncation
     flag set. Raises ModelOutputError if a victim output is mis-shaped or
     not finite.
+
+    A candidate replaces the parent only if its objective is strictly
+    greater. Under hard top-k labels the class term takes only the values
+    -1/k, 0 and 1/k, so candidates often tie the parent exactly and the
+    parent is kept: a 6x6 quadrant_bright victim behind a hard top-1
+    wrapper, 1x1 atoms, target 1, seed 2, 3 candidates a step and a budget
+    of 60 keeps its initial sample at objective 0.0 until truncation.
     """
     # Looked up at call time, so a wrapper installed on
     # core.build_partition_tree sees every build.

@@ -1,27 +1,55 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from owenexplain import (
+    MaskerSpec,
     Model,
     ModelOutputError,
     QueryLedger,
     TopKConfig,
     VictimSpec,
     WrappedModel,
+    blackbox,
+    build_atom_grid,
     make_rng,
     make_victim,
+    parse_schedule,
     query,
+    synthesize,
     wrap_topk_hard,
     wrap_topk_soft,
 )
+from owenexplain.objectives import ObjectiveWeights
+from owenexplain.oracle import VectorGame
+from owenexplain.synthesis import SearchParams, SynthConfig
 
 
 def random_prob_vectors(n, classes, seed=0):
     rng = make_rng(seed)
     raw = rng.uniform(0, 1, (n, classes)) ** 2
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def reference_topk(p, k, mode):
+    """One row through the top-k wrapper, written per row and apart from
+    TopKConfig.apply_batch: the k largest entries, ties to the lower class
+    index, kept (soft, leftover mass spread over the rest) or set to 1/k
+    (hard)."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1)
+    c = p.size
+    if mode == "soft" and k == c:
+        return p.copy()
+    top = np.argsort(-p, kind="stable")[:k]
+    if mode == "soft":
+        out = np.full(c, (1.0 - float(p[top].sum())) / (c - k), dtype=np.float64)
+        out[top] = p[top]
+    else:
+        out = np.zeros(c, dtype=np.float64)
+        out[top] = 1.0 / k
+    return out
 
 
 class TestSoftWrapper:
@@ -167,10 +195,10 @@ class TestQuery:
 
     def test_batch_wrapper_matches_per_row(self):
         vectors = random_prob_vectors(200, 5, seed=8)
-        for mode, wrap in (("soft", wrap_topk_soft), ("hard", wrap_topk_hard)):
+        for mode in ("soft", "hard"):
             for k in range(1, 6):
                 batch = TopKConfig(mode=mode, k=k).apply_batch(vectors)
-                rows = np.stack([wrap(v, k) for v in vectors])
+                rows = np.stack([reference_topk(v, k, mode) for v in vectors])
                 assert np.array_equal(batch, rows)
 
     def test_wrapped_model_composes(self):
@@ -227,3 +255,62 @@ class TestModelOutputErrors:
         probs = random_prob_vectors(3, 4, seed=5)
         out = WrappedModel(BrokenModel(lambda rows: probs), topk).evaluate(np.zeros((3, 4)))
         assert np.array_equal(out, topk.apply_batch(probs))
+
+
+BARE_AND_WRAPPED = [None, *TOPK_MODES]
+
+
+def broken(fault, topk):
+    """BrokenModel with the given fault, bare (topk None) or wrapped."""
+    model = BrokenModel(BROKEN_OUTPUTS[fault])
+    return model if topk is None else WrappedModel(model, topk)
+
+
+def mode_id(topk):
+    return "bare" if topk is None else topk.mode
+
+
+MASKER = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
+X = np.array([0.1, 0.4, 0.7, 0.2])
+
+
+class TestReadPath:
+    """Every victim read checks its batch: a broken model raises
+    ModelOutputError through synthesis and the coalition game, bare or
+    wrapped, and each batch is checked once."""
+
+    @pytest.mark.parametrize("topk", BARE_AND_WRAPPED, ids=mode_id)
+    @pytest.mark.parametrize("fault", sorted(BROKEN_OUTPUTS))
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0)],
+                             ids=["class-term", "disagreement"])
+    def test_synthesize_rejects(self, fault, topk, alpha, beta):
+        cfg = SynthConfig(target_class=0, masker=MASKER,
+                          weights=ObjectiveWeights(alpha=alpha, beta=beta),
+                          schedule=parse_schedule("0:99999:8"),
+                          search=SearchParams(population=2, steps=2))
+        with pytest.raises(ModelOutputError):
+            synthesize(broken(fault, topk), None, cfg, QueryLedger())
+
+    @pytest.mark.parametrize("topk", BARE_AND_WRAPPED, ids=mode_id)
+    @pytest.mark.parametrize("fault", sorted(BROKEN_OUTPUTS))
+    def test_coalition_game_rejects(self, fault, topk):
+        game = VectorGame(broken(fault, topk), X, MASKER)
+        with pytest.raises(ModelOutputError):
+            game.fetch([0, game.full_bits])
+        with pytest.raises(ModelOutputError):
+            game.dense_table()
+        assert not game.memo and game.evals_used == 0
+
+    @pytest.mark.parametrize("topk", BARE_AND_WRAPPED, ids=mode_id)
+    def test_one_shape_and_one_finiteness_check_per_batch(self, topk):
+        probs = random_prob_vectors(2, 4, seed=6)
+        model = BrokenModel(lambda rows: probs)
+        game = VectorGame(model if topk is None else WrappedModel(model, topk), X, MASKER)
+        with mock.patch.object(blackbox, "_shaped_outputs",
+                               wraps=blackbox._shaped_outputs) as shaped:
+            with mock.patch.object(np, "isfinite", wraps=np.isfinite) as counted:
+                game.fetch([0, game.full_bits])
+        assert shaped.call_count == 1
+        assert [c.args[0].shape for c in counted.call_args_list] == [(2, 4)]
+        expected = probs if topk is None else topk.apply_batch(probs)
+        assert np.array_equal(np.stack([game.row(0), game.row(game.full_bits)]), expected)

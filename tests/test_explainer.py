@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import additive_game
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,12 +12,14 @@ from owenexplain import (
     MaskerSpec,
     Model,
     QueryLedger,
+    TableGame,
     TopKConfig,
     VictimSpec,
     WrappedModel,
     build_atom_grid,
     build_partition_tree,
     choose_depth,
+    exact_owen,
     exact_shapley,
     explain,
     explain_all_classes,
@@ -393,3 +398,120 @@ class TestProperties:
             oracle = exact_shapley(masked_game(Affine(), x, masker, c)).values
             assert np.allclose(oracle, w[c] * x, atol=1e-12)
             assert np.allclose(attrs[c].values, oracle, atol=1e-9)
+
+
+def proportional_split(v, tree) -> np.ndarray:
+    """The explainer's unlimited-budget recursion, from a dense table v
+    indexed by mask: each node's credit is split in proportion to its
+    children's two-player Shapley values with every outside atom off (the
+    residual shared equally where the two cancel)."""
+    phi = np.zeros(tree.atom_count)
+
+    def recurse(node, credit):
+        if node.is_leaf:
+            phi[list(node.atoms)] += credit / len(node.atoms)
+            return
+        left, right = tree.nodes[node.left], tree.nodes[node.right]
+        s_left = 0.5 * ((v[left.bits] - v[0]) + (v[node.bits] - v[right.bits]))
+        s_right = 0.5 * ((v[right.bits] - v[0]) + (v[node.bits] - v[left.bits]))
+        span = s_left + s_right
+        if abs(span) <= 1e-12 * max(abs(s_left), abs(s_right)):
+            share = s_left + 0.5 * (credit - span)
+        else:
+            share = credit * (s_left / span)
+        recurse(left, share)
+        recurse(right, credit - share)
+
+    recurse(tree.root, v[tree.root.bits] - v[0])
+    return phi
+
+
+def tree_owen(v, tree) -> np.ndarray:
+    """Owen value of the tree's nested coalitions, from a dense table v:
+    shap PartitionExplainer's recursion, in which each child's two-player
+    split is averaged over its sibling off and on, inside every context of
+    the ancestors' siblings."""
+    phi = np.zeros(tree.atom_count)
+
+    def recurse(node, context, weight):
+        if node.is_leaf:
+            gain = v[context | node.bits] - v[context]
+            phi[list(node.atoms)] += weight * gain / len(node.atoms)
+            return
+        for child, sibling in ((node.left, node.right), (node.right, node.left)):
+            recurse(tree.nodes[child], context, weight / 2)
+            recurse(tree.nodes[child], context | tree.nodes[sibling].bits, weight / 2)
+
+    recurse(tree.root, 0, 1.0)
+    return phi
+
+
+class TableModel(Model):
+    """Model that reads a dense (2**n, classes) table: under 1x1 atoms, an
+    all-ones input and a zero baseline, coalition bits masks to bits' 0/1
+    digits, so the explainer plays the table's game."""
+
+    def __init__(self, table, input_shape):
+        self.table = np.asarray(table, dtype=np.float64)
+        self.num_classes = self.table.shape[1]
+        self.input_shape = input_shape
+        self.place = 2.0 ** np.arange(math.prod(input_shape))
+
+    def evaluate(self, batch):
+        return self.table[np.rint(np.asarray(batch) @ self.place).astype(np.int64)]
+
+
+def explain_table(table, input_shape):
+    """(tree, attributions) of the explainer at unlimited budget on the
+    table's game."""
+    grid = build_atom_grid(input_shape, (1,) * len(input_shape))
+    n = grid.atom_count
+    tree = build_partition_tree(grid)
+    masker = MaskerSpec(grid=grid, fill="baseline", baseline=np.zeros(n))
+    cfg = ExplainConfig(masker=masker, tree=tree, max_evals=None)
+    return tree, explain_all_classes(np.ones(n), TableModel(table, input_shape), cfg)
+
+
+TABLE_SHAPES = [(2,), (5,), (8,), (2, 3), (3, 3), (2, 4)]
+
+
+class TestConvergence:
+    """What the explainer computes at unlimited budget: the proportional
+    split, which is Shapley on additive games but on other games neither
+    Shapley nor the Owen value of its own tree."""
+
+    def test_tree_owen_reference_is_exact_owen_on_two_pairs(self):
+        tree = build_partition_tree(build_atom_grid((4,), (1,)))
+        for seed in range(5):
+            v = make_rng(seed).uniform(-1.0, 1.0, 16)
+            owen = exact_owen(TableGame(4, v), [[0, 1], [2, 3]]).values
+            assert np.allclose(tree_owen(v, tree), owen, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+    def test_unlimited_budget_is_proportional_split(self, shape):
+        n = math.prod(shape)
+        for seed in range(5):
+            table = make_rng(seed).uniform(-1.0, 1.0, (1 << n, 3))
+            tree, attrs = explain_table(table, shape)
+            for c, attr in enumerate(attrs):
+                v = table[:, c]
+                expected = proportional_split(v, tree)
+                assert np.allclose(attr.values, expected, rtol=0, atol=1e-12)
+                # the three references keep efficiency
+                for phi in (expected, tree_owen(v, tree), exact_shapley(TableGame(n, v)).values):
+                    assert abs(phi.sum() - (v[-1] - v[0])) <= 1e-12
+
+    @pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+    def test_additive_games_all_agree_with_shapley(self, shape):
+        n = math.prod(shape)
+        for seed in range(5):
+            rng = make_rng(seed)
+            games = [additive_game(rng.uniform(-1.0, 1.0, n), base=rng.uniform(-1.0, 1.0))
+                     for _ in range(2)]
+            table = np.stack([game.table for game in games], axis=1)
+            tree, attrs = explain_table(table, shape)
+            for game, attr in zip(games, attrs):
+                shapley = exact_shapley(game).values
+                for phi in (attr.values, proportional_split(game.table, tree),
+                            tree_owen(game.table, tree)):
+                    assert np.allclose(phi, shapley, rtol=0, atol=1e-12)

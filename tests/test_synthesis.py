@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from owenexplain import (
@@ -16,13 +16,16 @@ from owenexplain import (
     build_atom_grid,
     class_objective,
     explain,
+    make_rng,
     make_victim,
     parse_schedule,
     schedule_lookup,
     synthesize,
 )
-from owenexplain import synthesis
+from owenexplain import extraction, synthesis
 from owenexplain.blackbox import VICTIM_KINDS
+from owenexplain.core import derive_seed
+from owenexplain.extraction import ExtractionConfig, ProbeConfig, TrainConfig, run_extraction
 from owenexplain.objectives import ObjectiveWeights
 from owenexplain.synthesis import DEFAULT_SCHEDULE_TEXT, SearchParams, SynthConfig
 
@@ -157,6 +160,26 @@ class TestSynthesize:
         assert all(row.class_obj_term == res.trace[5].class_obj_term
                    for row in res.trace[6:])
 
+    def test_hard_labels_tie_and_keep_the_parent(self):
+        # Under hard top-1 labels every class term here is 0.0, so no
+        # candidate beats the initial sample; soft labels move it.
+        grid = build_atom_grid((6, 6), (1, 1))
+        cfg = SynthConfig(target_class=1, masker=MaskerSpec(grid=grid, fill="mean"),
+                          weights=ObjectiveWeights(1.0, 0.0),
+                          schedule=parse_schedule("0:99999:8"),
+                          search=SearchParams(population=3, steps=8), seed=2)
+        initial = make_rng(derive_seed(2, "synth-init")).uniform(0.0, 1.0, 36)
+        victim = make_victim(VictimSpec(kind="quadrant_bright", seed=0, num_classes=4,
+                                        input_shape=(6, 6)))
+        hard = synthesize(WrappedModel(victim, TopKConfig("hard", 1)), None, cfg,
+                          QueryLedger(budget=60))
+        assert hard.truncated
+        assert [row.objective for row in hard.trace] == [0.0, 0.0, 0.0]
+        assert np.array_equal(hard.sample, initial)
+        soft = synthesize(WrappedModel(victim, TopKConfig("soft", 1)), None, cfg,
+                          QueryLedger(budget=60))
+        assert not np.array_equal(soft.sample, initial)
+
 
 root_pair_class_term = synthesis._class_term
 
@@ -254,3 +277,90 @@ class TestRootPairObjective:
             assert close(row.objective, ref_row.objective)
             assert close(row.class_obj_term, ref_row.class_obj_term)
             assert row.disagreement_term == ref_row.disagreement_term
+
+
+class RecordingLedger(QueryLedger):
+    """QueryLedger that counts refused charges and checks after every
+    charge that the budget holds."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.refused = 0
+
+    def try_charge(self, n, tag):
+        ok = super().try_charge(n, tag)
+        self.refused += not ok
+        assert self.budget is None or self.evals_used <= self.budget
+        return ok
+
+
+class TestLedgerProperty:
+    """At every budget the ledger is never overspent, and a run reports
+    truncation exactly when one of its charges was refused."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(VICTIM_KINDS),
+        topk=st.sampled_from(WRAPPERS),
+        block=st.sampled_from([(1, 1), (2, 3), (3, 3)]),
+        schedule=st.sampled_from(SCHEDULES),
+        weights=st.sampled_from([(1.0, 0.0), (1.0, 0.5), (0.0, 1.0)]),
+        spent=st.integers(0, 3),
+        room=st.integers(0, 300),
+        seed=st.integers(0, 1000),
+    )
+    def test_synthesize(self, kind, topk, block, schedule, weights, spent, room, seed):
+        # A ledger the caller has already partly spent, down to no room.
+        assume(spent + room >= 1)
+        victim = WrappedModel(make_victim(VictimSpec(kind=kind, seed=seed, num_classes=4,
+                                                     input_shape=(6, 6))), topk)
+        cfg = SynthConfig(
+            target_class=seed % 4,
+            masker=MaskerSpec(grid=build_atom_grid((6, 6), block), fill="mean"),
+            weights=ObjectiveWeights(*weights),
+            schedule=parse_schedule(schedule[0], after_end=schedule[1]),
+            search=SearchParams(population=3, steps=8),
+            seed=seed,
+        )
+        ledger = RecordingLedger(budget=spent + room)
+        if spent:
+            ledger.charge(spent, "other")
+        result = synthesize(victim, None, cfg, ledger)
+        assert ledger.evals_used <= spent + room
+        assert result.truncated == (ledger.refused > 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(["guided", "random"]),
+        topk=st.sampled_from(WRAPPERS),
+        budget=st.integers(1, 400),
+        rounds=st.integers(1, 3),
+        samples_per_class=st.integers(1, 2),
+        seed=st.integers(0, 1000),
+    )
+    def test_run_extraction(self, mode, topk, budget, rounds, samples_per_class, seed):
+        masker = MaskerSpec(grid=build_atom_grid((4, 4), (2, 2)), fill="mean")
+        cfg = ExtractionConfig(
+            victim=VictimSpec(kind="quadrant_bright", seed=seed, num_classes=4,
+                              input_shape=(4, 4), temperature=0.2),
+            topk=topk, masker=masker, query_budget=budget, rounds=rounds, mode=mode,
+            samples_per_class=samples_per_class,
+            synth=SynthConfig(target_class=0, masker=masker,
+                              schedule=parse_schedule("0:2:8,2:4:4"),
+                              search=SearchParams(population=2, steps=6)),
+            train=TrainConfig(epochs_per_round=1, minibatch=32),
+            probe=ProbeConfig(n_probe=8), seed=seed,
+        )
+        ledgers = []
+
+        def recording(**kwargs):
+            ledgers.append(RecordingLedger(**kwargs))
+            return ledgers[-1]
+
+        with mock.patch.object(extraction, "QueryLedger", recording):
+            report = run_extraction(cfg)
+        outer, jobs = ledgers[0], ledgers[1:]
+        assert outer.evals_used == report.queries_total == budget
+        assert outer.refused == 0
+        assert all(job.evals_used <= job.budget for job in jobs)
+        assert report.truncated == any(job.refused for job in jobs)
