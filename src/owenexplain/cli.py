@@ -92,7 +92,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration")
     _config_flag(parser, "--seed", "seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int,
-                        help="accepted and ignored: every run is sequential")
+                        help="accepted and ignored; large exact Shapley tables use "
+                             "every CPU the process may run on when BLAS runs one "
+                             "thread, with byte-identical outputs")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
     _config_flag(parser, "--victim", "victim.kind", choices=VICTIM_KINDS)

@@ -11,9 +11,9 @@ and nothing else; exact_owen and group_uniform_shapley call only
 ``value_batch(masks)``. A mask is a plain int whose bit i marks atom i;
 batches are int64 arrays up to 63 atoms and object arrays of Python ints
 beyond. The masked model game below builds all of it from a model, an
-input and a masker: its full table is a column of the shared VectorGame's
-dense table, filled once for every class, while value_batch goes through
-the sparse coalition memo.
+input and a masker: its full table is a row of the shared VectorGame's
+class-major dense table, filled once for every class, while value_batch
+goes through the sparse coalition memo.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class VectorGame:
         self._rows = stop
 
     def dense_table(self) -> np.ndarray:
-        """(2**n_atoms, num_classes) outputs of every coalition; row r is
-        the coalition whose members are the set bits of r.
+        """(num_classes, 2**n_atoms) outputs of every coalition, class-major:
+        column r is the coalition whose members are the set bits of r, so
+        each class's values are one contiguous row.
 
         Built once, in ascending chunks of _CHUNK masks: memoized
         coalitions are copied in, and each chunk's others are charged and
@@ -153,12 +154,12 @@ class VectorGame:
         if self.n_atoms > SHAPLEY_MAX_ATOMS:
             raise ValueError(f"dense table guard: {self.n_atoms} atoms > {SHAPLEY_MAX_ATOMS}")
         size = 1 << self.n_atoms
-        table = np.empty((size, self.model.num_classes), dtype=np.float64)
+        table = np.empty((self.model.num_classes, size), dtype=np.float64)
         known = np.zeros(size, dtype=bool)
         if self.memo:
             bits = np.fromiter(self.memo, np.int64, len(self.memo))
             known[bits] = True
-            table[bits] = self._table[np.fromiter(self.memo.values(), np.intp, len(bits))]
+            table[:, bits] = self._table[np.fromiter(self.memo.values(), np.intp, len(bits))].T
         filled = 0
         try:
             for start in range(0, size, _CHUNK):
@@ -169,13 +170,13 @@ class VectorGame:
                         self.ledger.charge(miss.size, self.tag)
                     outputs = self.evaluate_misses(miss, memoize=False)
                     if miss.size == stop - start:
-                        table[start:stop] = outputs
+                        table[:, start:stop] = outputs.T
                     else:
-                        table[miss] = outputs
+                        table[:, miss] = outputs.T
                 filled = stop
         except BaseException:
             fresh = np.flatnonzero(~known[:filled])
-            self._store(fresh.tolist(), table[fresh])
+            self._store(fresh.tolist(), table[:, fresh].T)
             raise
         self._dense = table
         return table
@@ -183,7 +184,7 @@ class VectorGame:
     def row(self, bits: int) -> np.ndarray:
         """Read-only output vector of a memoized coalition."""
         if self._dense is not None:
-            out = self._dense[bits]
+            out = self._dense[:, bits]
         else:
             out = self._table[self.memo[bits]]
         out.setflags(write=False)
@@ -193,7 +194,7 @@ class VectorGame:
         """One class's outputs for memoized coalitions, as a new array.
         Raises KeyError if one of them is not memoized."""
         if self._dense is not None:
-            return self._dense[np.asarray(bits_list, dtype=np.intp), class_index]
+            return self._dense[class_index, np.asarray(bits_list, dtype=np.intp)]
         rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
         return self._table[rows, class_index]
 
@@ -230,8 +231,10 @@ class ClassGame:
 
     def full_table(self) -> np.ndarray:
         """This class's value of every coalition, indexed by mask, as a
-        contiguous copy of the shared dense table's column."""
-        return self.vector_game.dense_table()[:, self.class_index].copy()
+        read-only view of the shared dense table's contiguous row."""
+        out = self.vector_game.dense_table()[self.class_index]
+        out.setflags(write=False)
+        return out
 
 
 class TableGame:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 from owenexplain.cli import build_parser, main
+from owenexplain.extraction import ProbeConfig, TrainConfig
+from owenexplain.objectives import ObjectiveWeights
+from owenexplain.synthesis import SearchParams
 from owenexplain.tensorio import read_tensor, write_tensor
 
 
@@ -359,6 +363,27 @@ class TestFlags:
                     assert action.default is argparse.SUPPRESS, (command, action.dest)
                     keys.add(action.dest)
         assert {"seed", "explainer.max_evals", "topk.k", "extraction.labels"} <= keys
+
+    # The extraction section flattens ProbeConfig's fields as probe_*.
+    @pytest.mark.parametrize("spec, section, prefix", [
+        (TrainConfig, "extraction", ""),
+        (SearchParams, "synthesis", ""),
+        (ObjectiveWeights, "synthesis", ""),
+        (ProbeConfig, "extraction", "probe_"),
+    ], ids=["TrainConfig", "SearchParams", "ObjectiveWeights", "ProbeConfig"])
+    def test_config_defaults_equal_dataclass_defaults(self, spec, section, prefix):
+        from owenexplain.config import DEFAULTS
+        keys = DEFAULTS[section]
+        unkeyed = set()
+        for field in dataclasses.fields(spec):
+            key = next((k for k in (field.name, prefix + field.name) if k in keys), None)
+            if key is None:
+                unkeyed.add(field.name)
+            else:
+                value = keys[key]
+                assert (type(value), value) == (type(field.default), field.default), key
+        # ProbeConfig.base_level is the one field no config key sets.
+        assert unkeyed <= {"base_level"}
 
     @pytest.mark.parametrize("argv", [
         ["explain", "--random", "--input-shape", "6,x"],

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 
-from owenexplain import _kernels
+from owenexplain import MaskerSpec, VictimSpec, _kernels, build_atom_grid, make_rng, make_victim
+from owenexplain.oracle import ClassGame, VectorGame
 
 
 def rng():
@@ -82,6 +86,138 @@ class TestPureKernels:
         active = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         out = _kernels.apply_masks(x, fill, cell_atom, active)
         assert np.array_equal(out, [[1, 2, 0, 0], [0, 0, 3, 4]])
+
+
+def serial_shapley(values, n):
+    """The single-loop kernel before the atom split, as the reference: every
+    atom's gains in one reused buffer, atoms in ascending order."""
+    phi = np.empty(n)
+    without = _kernels.shapley_weights(n)[_kernels.popcounts(n - 1)]
+    gains = np.empty(1 << (n - 1))
+    for i in range(n):
+        split = values.reshape(-1, 2, 1 << i)
+        np.subtract(split[:, 1], split[:, 0], out=gains.reshape(-1, 1 << i))
+        phi[i] = float(np.dot(without, gains))
+    return phi
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs the process may run on, with BLAS held to one thread."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return set_count
+
+
+def helper_threads(table, n):
+    """shapley_from_table's result and the number of threads it started."""
+    with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
+        phi = _kernels.shapley_from_table(table, n)
+    return phi, made.call_count
+
+
+class TestAtomSplit:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 17, 19, 20])
+    def test_bitwise_equal_to_single_loop(self, cpus, n, count):
+        # Three CPUs deal 17, 19 and 20 atoms unevenly; below 2**17 entries
+        # the kernel starts no thread.
+        cpus(count)
+        table = rng().uniform(-1, 1, 1 << n)
+        before = threading.active_count()
+        phi, started = helper_threads(table, n)
+        assert phi.tobytes() == serial_shapley(table, n).tobytes()
+        assert started == (count - 1 if 1 << n >= _kernels._SPLIT_MIN_SIZE else 0)
+        assert threading.active_count() == before
+
+    def test_more_parts_than_cores_with_frequent_switches(self, cpus):
+        # Every part writes its own atoms of phi; a lost or misplaced write
+        # would change the bytes.
+        cpus(8)
+        table = rng().uniform(-1, 1, 1 << 17)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            phi, started = helper_threads(table, 17)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == 7
+        assert phi.tobytes() == serial_shapley(table, 17).tobytes()
+
+    @pytest.mark.parametrize("variables, started", [
+        ({}, 0),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 0),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 0),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+    ])
+    def test_split_only_under_one_thread_blas(self, cpus, monkeypatch, variables, started):
+        # OpenBLAS takes the first positive count of its variables; any
+        # count but 1, or none, leaves BLAS threads of its own running.
+        cpus(2)
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        table = rng().uniform(-1, 1, 1 << 17)
+        phi, count = helper_threads(table, 17)
+        assert count == started
+        assert phi.tobytes() == serial_shapley(table, 17).tobytes()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _kernels._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _kernels._cpu_count() == 1
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_part_exception_reaches_caller(self, cpus, failing):
+        cpus(3)
+        dot = np.dot
+
+        def failing_dot(a, b):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise FloatingPointError(f"{failing} part")
+            return dot(a, b)
+
+        before = threading.active_count()
+        with mock.patch.object(np, "dot", failing_dot):
+            with pytest.raises(FloatingPointError, match=f"{failing} part"):
+                _kernels.shapley_from_table(rng().uniform(-1, 1, 1 << 17), 17)
+        assert threading.active_count() == before
+
+
+def test_full_table_is_a_read_only_row_of_the_class_major_table():
+    spec = VictimSpec(kind="linear_softmax", seed=4, num_classes=3, input_shape=(7,),
+                      weight_scale=3.0)
+    masker = MaskerSpec(grid=build_atom_grid((7,), (1,)), fill="mean")
+    x = make_rng(4).uniform(0.0, 1.0, 7)
+    game = VectorGame(make_victim(spec), x, masker)
+    # Reference: every coalition through the memo, read out as the
+    # per-class column copy the coalition-major table gave.
+    memo_game = VectorGame(make_victim(spec), x, masker)
+    masks = list(range(1 << 7))
+    memo_game.fetch(masks)
+    dense = game.dense_table()
+    assert dense.shape == (3, 1 << 7)
+    for c in range(3):
+        table = ClassGame(game, c).full_table()
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert np.shares_memory(table, dense)
+        assert table.tobytes() == memo_game.column(masks, c).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert dense.flags.writeable
 
 
 def test_import_ignores_backend_variable():
