@@ -6,9 +6,9 @@ kernel loops over atoms only: each atom's pass splits the table into the
 masks without and with that atom by a reshape, writes their differences
 into a gains buffer, and takes one dot product with one weight operand
 shared by every atom. A table of at least _SPLIT_MIN_SIZE entries deals
-its atoms over every CPU the process may run on, one thread and one
-gains buffer per CPU, when BLAS runs one thread of its own; each atom
-gets the same operations either way, so the values are byte-identical.
+its atoms over up to _MAX_PARTS of the CPUs the process may run on, one
+thread and one gains buffer per part; each atom gets the same operations
+either way, so the values are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,10 +20,16 @@ import threading
 import numpy as np
 
 # Tables of at least this many entries split their atoms over the CPUs.
-# Median ms per call, serial against two threads, on a 2-vCPU Linux VM
-# with OpenBLAS held to one thread: n=14 0.66 / 1.10, n=15 1.08 / 1.35,
-# n=16 2.19 / 2.21, n=17 4.80 / 4.26, n=18 10.7 / 7.7, n=20 60 / 34.
+# Median ms per call, serial against two parts, on a 2-vCPU Linux VM
+# with OpenBLAS held to one thread: n=16 2.24 / 2.25, n=17 4.86 / 3.63,
+# n=18 10.1 / 6.9, n=19 20.5 / 15.0, n=20 48.6 / 25.8. With OpenBLAS's
+# default two threads the split loses, because BLAS's worker busy-waits
+# on the second CPU between calls: n=17 5.1 / 6.1, n=20 52.5 / 58.8.
 _SPLIT_MIN_SIZE = 1 << 17
+
+# Parts at most: two is the only count measured. Each part holds its own
+# gains buffer of 2**(n-1) float64s (4 MB at n=20).
+_MAX_PARTS = 2
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -90,18 +96,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_single_threaded() -> bool:
-    """Whether the environment holds BLAS to one thread, read as OpenBLAS
-    reads it at load: the first of these variables set to a positive count
-    decides. A BLAS with threads of its own keeps them busy-waiting between
-    calls, so a second caller thread would only contend with them."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
-
-
 def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a dense 2**n game-value table.
 
@@ -119,9 +113,7 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     # [0, 2**(n-1)) and keeps each mask's size, so one weight operand,
     # indexed by that compressed mask, serves every atom.
     without = shapley_weights(n)[popcounts(n - 1)]
-    parts = 1
-    if size >= _SPLIT_MIN_SIZE and _blas_single_threaded():
-        parts = min(_cpu_count(), n)
+    parts = min(_cpu_count(), n, _MAX_PARTS) if size >= _SPLIT_MIN_SIZE else 1
     gains = [np.empty(size >> 1, dtype=np.float64) for _ in range(parts)]
 
     def run(part: int) -> None:

@@ -93,8 +93,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _config_flag(parser, "--seed", "seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int,
                         help="accepted and ignored; large exact Shapley tables use "
-                             "every CPU the process may run on when BLAS runs one "
-                             "thread, with byte-identical outputs")
+                             "up to two of the CPUs the process may run on, with "
+                             "byte-identical outputs")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
     _config_flag(parser, "--victim", "victim.kind", choices=VICTIM_KINDS)

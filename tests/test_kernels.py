@@ -101,16 +101,9 @@ def serial_shapley(values, n):
     return phi
 
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the CPUs the process may run on, with BLAS held to one thread."""
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-
+    """Sets the CPUs the process may run on."""
     def set_count(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
@@ -128,48 +121,41 @@ class TestAtomSplit:
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 17, 19, 20])
     def test_bitwise_equal_to_single_loop(self, cpus, n, count):
-        # Three CPUs deal 17, 19 and 20 atoms unevenly; below 2**17 entries
-        # the kernel starts no thread.
+        # Two parts deal 17 and 19 atoms unevenly; three CPUs still make
+        # two parts; below 2**17 entries the kernel starts no thread.
         cpus(count)
         table = rng().uniform(-1, 1, 1 << n)
         before = threading.active_count()
         phi, started = helper_threads(table, n)
         assert phi.tobytes() == serial_shapley(table, n).tobytes()
-        assert started == (count - 1 if 1 << n >= _kernels._SPLIT_MIN_SIZE else 0)
+        expected = min(count, _kernels._MAX_PARTS) - 1 if 1 << n >= _kernels._SPLIT_MIN_SIZE else 0
+        assert started == expected
         assert threading.active_count() == before
 
-    def test_more_parts_than_cores_with_frequent_switches(self, cpus):
+    def test_more_parts_than_cores_with_frequent_switches(self, cpus, monkeypatch):
         # Every part writes its own atoms of phi; a lost or misplaced write
-        # would change the bytes.
+        # would change the bytes. Three and eight parts deal 17 atoms
+        # unevenly.
         cpus(8)
         table = rng().uniform(-1, 1, 1 << 17)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            phi, started = helper_threads(table, 17)
+            for parts in (3, 8):
+                monkeypatch.setattr(_kernels, "_MAX_PARTS", parts)
+                phi, started = helper_threads(table, 17)
+                assert started == parts - 1
+                assert phi.tobytes() == serial_shapley(table, 17).tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert started == 7
-        assert phi.tobytes() == serial_shapley(table, 17).tobytes()
 
-    @pytest.mark.parametrize("variables, started", [
-        ({}, 0),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 0),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 0),
-        ({"OMP_NUM_THREADS": "1"}, 1),
-    ])
-    def test_split_only_under_one_thread_blas(self, cpus, monkeypatch, variables, started):
-        # OpenBLAS takes the first positive count of its variables; any
-        # count but 1, or none, leaves BLAS threads of its own running.
-        cpus(2)
-        for name in BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in variables.items():
-            monkeypatch.setenv(name, value)
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_parts_follow_the_real_affinity(self):
+        # No patching: under a one-CPU affinity (taskset -c 0) the kernel
+        # runs inline, on two CPUs or more it starts one helper thread.
         table = rng().uniform(-1, 1, 1 << 17)
-        phi, count = helper_threads(table, 17)
-        assert count == started
+        phi, started = helper_threads(table, 17)
+        assert started == min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS) - 1
         assert phi.tobytes() == serial_shapley(table, 17).tobytes()
 
     def test_cpu_count_without_affinity(self, monkeypatch):
