@@ -78,9 +78,9 @@ class TopKConfig:
         _finite(raw)
         if self.mode == "all":
             return raw.copy()
-        if np.any(raw < 0):
+        if (raw < 0).any():
             raise ValueError("probabilities must be non-negative")
-        if np.any(np.abs(raw.sum(axis=1) - 1.0) > _PROB_ATOL):
+        if (abs(raw.sum(axis=1) - 1.0) > _PROB_ATOL).any():
             raise ValueError("probability rows must sum to 1")
         c = raw.shape[1]
         k = self.k
@@ -89,14 +89,15 @@ class TopKConfig:
         if self.mode == "soft" and k == c:
             return raw.copy()
         top = np.argsort(-raw, axis=1, kind="stable")[:, :k]
+        rows = np.arange(len(raw))[:, None]
         if self.mode == "soft":
-            top_vals = np.take_along_axis(raw, top, axis=1)
-            leftover = (1.0 - top_vals.sum(axis=1)) / (c - k)
-            out = np.repeat(leftover[:, None], c, axis=1)
-            np.put_along_axis(out, top, top_vals, axis=1)
+            top_vals = raw[rows, top]
+            out = np.empty(raw.shape)
+            out[:] = ((1.0 - top_vals.sum(axis=1)) / (c - k))[:, None]
+            out[rows, top] = top_vals
         else:
             out = np.zeros_like(raw)
-            np.put_along_axis(out, top, 1.0 / k, axis=1)
+            out[rows, top] = 1.0 / k
         return out
 
 
@@ -188,12 +189,62 @@ class VictimSpec:
             raise ValueError("victims need at least 2 classes")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.kind == "quadrant_bright":
+            cells = np.bincount(
+                class_regions(self.input_shape, self.num_classes), minlength=self.num_classes
+            )
+            if not cells.all():
+                raise ValueError(
+                    f"quadrant_bright input {self.input_shape} leaves class "
+                    f"{int(np.argmin(cells))} of {self.num_classes} without cells"
+                )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Row softmax of a (rows, classes) array of logits / temperature, as a
+    new C-contiguous (rows, classes) array with the bytes of
+
+        z = logits / temperature
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        e / e.sum(axis=1, keepdims=True)
+
+    The work is done class-major, on a (classes, rows) copy, because
+    numpy runs a reduction along axis 1 as one length-C loop per row, about
+    60 ns a row, which at 4 classes cost more than the exp and the matmul
+    before it. Class-major, the max is one elementwise np.maximum over
+    class rows (exact in any order) and the normaliser is
+    _class_major_sum, which adds class rows in the order of numpy's
+    pairwise sum. Dividing by 1.0 is exact, so it is skipped."""
+    e = logits.T.copy()
+    if temperature != 1.0:
+        e /= temperature
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    e /= _class_major_sum(e)
+    return e.T.copy()
+
+
+def _class_major_sum(e: np.ndarray) -> np.ndarray:
+    """e.T.sum(axis=1) for a (classes, rows) array, bit for bit: numpy's
+    pairwise sum adds fewer than 8 terms left to right, up to 128 in 8
+    strided accumulators joined as a tree and then the leftover terms, and
+    splits longer runs in two at a multiple of 8."""
+    n = len(e)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_major_sum(e[:half]) + _class_major_sum(e[half:])
+    if n < 8:
+        total = e[0].copy()
+        rest = e[1:]
+    else:
+        acc = e[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            acc += e[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = e[n - n % 8 :]
+    for row in rest:
+        total += row
+    return total
 
 
 class LinearSoftmaxVictim(Model):
@@ -215,8 +266,9 @@ class LinearSoftmaxVictim(Model):
         self.b.setflags(write=False)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        logits = batch @ self.W.T + self.b
-        return _softmax(logits / self.spec.temperature)
+        logits = batch @ self.W.T
+        logits += self.b
+        return _softmax(logits, self.spec.temperature)
 
 
 def class_regions(input_shape: tuple[int, ...], num_classes: int) -> np.ndarray:
@@ -262,8 +314,9 @@ class QuadrantBrightVictim(Model):
         self.bias.setflags(write=False)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        scores = batch @ self.region_mean.T + self.bias
-        return _softmax(scores / self.spec.temperature)
+        scores = batch @ self.region_mean.T
+        scores += self.bias
+        return _softmax(scores, self.spec.temperature)
 
 
 class GroupSymmetricVictim(Model):

@@ -50,7 +50,9 @@ class SubstituteModel(Model):
             self.input_shape = (self.W.shape[1],)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        return _softmax((batch @ self.W.T + self.b) / self.temperature)
+        logits = batch @ self.W.T
+        logits += self.b
+        return _softmax(logits, self.temperature)
 
     def copy(self) -> "SubstituteModel":
         return SubstituteModel(self.W.copy(), self.b.copy(), self.temperature, self.input_shape)

@@ -22,6 +22,7 @@ from owenexplain import (
     wrap_topk_hard,
     wrap_topk_soft,
 )
+from owenexplain.extraction import SubstituteModel
 from owenexplain.objectives import ObjectiveWeights
 from owenexplain.oracle import VectorGame
 from owenexplain.synthesis import SearchParams, SynthConfig
@@ -160,6 +161,76 @@ class TestVictims:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             VictimSpec(kind="nope", seed=0, num_classes=2, input_shape=(2,))
+
+    # A class without cells would score 0/0 and make every output NaN.
+    @pytest.mark.parametrize("shape, classes, empty", [((3,), 4, 3), ((12, 12), 17, 3)])
+    def test_quadrant_bright_rejects_a_class_without_cells(self, shape, classes, empty):
+        with pytest.raises(ValueError, match=f"leaves class {empty} of {classes} without cells"):
+            VictimSpec(kind="quadrant_bright", seed=0, num_classes=classes, input_shape=shape)
+
+
+def reference_softmax(logits):
+    """The row softmax written with per-row reductions along axis 1."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def assert_same_bytes(out, ref):
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+class TestSoftmax:
+    """blackbox._softmax works class-major; its bytes must equal the
+    per-row form's, whose sum is numpy's pairwise sum (left to right below
+    8 terms, 8 accumulators up to 128, split in two above)."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 8, 4096])
+    @pytest.mark.parametrize("classes", [2, 3, 4, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_bytes_equal_the_per_row_form(self, classes, rows):
+        rng = make_rng(classes * 10_000 + rows)
+        for scale in (1e-3, 0.1, 1.0, 5.0, 50.0):
+            logits = rng.normal(0.0, scale, (rows, classes))
+            assert_same_bytes(blackbox._softmax(logits), reference_softmax(logits))
+
+    @pytest.mark.parametrize("classes", [2, 4, 9, 129])
+    def test_ties_and_signed_zeros(self, classes):
+        rng = make_rng(classes)
+        logits = rng.integers(-2, 3, (64, classes)).astype(np.float64)
+        logits[rng.uniform(size=logits.shape) < 0.3] = -0.0
+        logits[0] = 0.0
+        logits[1] = -0.0
+        logits[2] = 1.5
+        assert_same_bytes(blackbox._softmax(logits), reference_softmax(logits))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.15])
+    @pytest.mark.parametrize("kind", blackbox.VICTIM_KINDS)
+    def test_victim_outputs_equal_the_per_row_form(self, kind, temperature):
+        spec = VictimSpec(kind=kind, seed=7, num_classes=4, input_shape=(6, 6),
+                          temperature=temperature)
+        model = make_victim(spec)
+        for rows in (1, 2, 8, 4096):
+            batch = make_rng(rows).uniform(-1.0, 2.0, (rows, 36))
+            if kind == "group_symmetric":
+                clipped = np.clip(batch, -spec.input_cap, spec.input_cap)
+                ref = 1.0 / 4 + (clipped @ model.group_mean.T) @ model.A.T
+            elif kind == "quadrant_bright":
+                ref = reference_softmax((batch @ model.region_mean.T + model.bias) / temperature)
+            else:
+                ref = reference_softmax((batch @ model.W.T + model.b) / temperature)
+            assert_same_bytes(model.evaluate(batch), ref)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.15])
+    def test_substitute_outputs_equal_the_per_row_form(self, temperature):
+        rng = make_rng(3)
+        sub = SubstituteModel(rng.normal(0.0, 0.5, (10, 25)), rng.normal(0.0, 1.0, 10),
+                              temperature, (5, 5))
+        for rows in (1, 2, 8, 4096):
+            batch = make_rng(rows).uniform(0.0, 1.0, (rows, 25))
+            ref = reference_softmax((batch @ sub.W.T + sub.b) / temperature)
+            assert_same_bytes(sub.evaluate(batch), ref)
 
 
 class TestQuery:

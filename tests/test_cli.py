@@ -123,6 +123,14 @@ class TestExplainCommand:
         assert run("explain", "--victim", "linear_softmax", "--input", str(tensor),
                    "--out", str(tmp_path / "y.json")) == 2
 
+    def test_quadrant_bright_class_without_cells_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("explain", "--victim", "quadrant_bright", "--num-classes", "4",
+                   "--input-shape", "3", "--random", "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: quadrant_bright input (3,) leaves class 3 of 4 without cells\n")
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_singleton_groups_reproduce_shapley(self, tmp_path):
