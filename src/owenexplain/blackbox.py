@@ -24,7 +24,11 @@ class ModelOutputError(ValueError):
 
 
 class Model:
-    """Deterministic probabilistic classifier over flat inputs."""
+    """Deterministic probabilistic classifier over flat inputs.
+
+    evaluate may be called from two threads at once: the exact-Shapley
+    dense fill of a table of 2**17 coalitions or more sends its batches
+    from two threads (oracle.VectorGame.dense_table)."""
 
     num_classes: int
     input_shape: tuple[int, ...]

@@ -18,6 +18,7 @@ goes through the sparse coalition memo.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,13 @@ class VectorGame:
         self._table = np.empty((_FIRST_ROWS, model.num_classes), dtype=np.float64)
         self._rows = 0
         self._dense: np.ndarray | None = None
-        self.evals_used = 0
+        self._dense_evals = 0
+
+    @property
+    def evals_used(self) -> int:
+        """Coalitions evaluated: the memoized ones, plus the dense table's
+        others once it is built."""
+        return self._rows + self._dense_evals
 
     def misses(self, bits_list) -> list[int]:
         """Distinct coalitions not yet memoized, in first-seen order."""
@@ -118,11 +125,9 @@ class VectorGame:
         Raises ModelOutputError, and memoizes nothing, if the model's
         outputs are mis-shaped or not finite.
         """
-        count = len(miss_list)
-        if not count:
+        if not len(miss_list):
             return np.empty((0, self.model.num_classes), dtype=np.float64)
         outputs = checked_outputs(self.model, self.masker.masked_batch(miss_list))
-        self.evals_used += count
         if memoize:
             self._store(miss_list, outputs)
         return outputs
@@ -143,11 +148,18 @@ class VectorGame:
         column r is the coalition whose members are the set bits of r, so
         each class's values are one contiguous row.
 
-        Built once, in ascending chunks of _CHUNK masks: memoized
-        coalitions are copied in, and each chunk's others are charged and
-        evaluated as one batch, the batches the memo path would send. None
-        is added to the memo. If a charge or an evaluation fails, the
-        coalitions already evaluated are memoized and no table is kept.
+        Built once, in chunks of _CHUNK masks: memoized coalitions are
+        copied in, and each chunk's others are charged and evaluated as one
+        batch, the batches the memo path would send. None is added to the
+        memo. The chunks are split over the parts of _kernels.run_in_parts,
+        so a table of _kernels._SPLIT_MIN_SIZE entries or more calls the
+        model from two threads at once. Parts take chunks in ascending order
+        and charge each under one lock before it reaches the model; once a
+        charge or an evaluation has failed, no part takes another chunk.
+        Chunks that other parts took while the failing one was in flight
+        stay charged and evaluated, but only the coalitions of the chunks
+        below the failing one are memoized, as one part would have
+        memoized them. Then its error is raised and no table is kept.
         """
         if self._dense is not None:
             return self._dense
@@ -160,24 +172,45 @@ class VectorGame:
             bits = np.fromiter(self.memo, np.int64, len(self.memo))
             known[bits] = True
             table[:, bits] = self._table[np.fromiter(self.memo.values(), np.intp, len(bits))].T
-        filled = 0
-        try:
-            for start in range(0, size, _CHUNK):
-                stop = min(start + _CHUNK, size)
-                miss = np.flatnonzero(~known[start:stop]) + start
-                if miss.size:
-                    if self.ledger is not None:
-                        self.ledger.charge(miss.size, self.tag)
-                    outputs = self.evaluate_misses(miss, memoize=False)
-                    if miss.size == stop - start:
-                        table[:, start:stop] = outputs.T
-                    else:
-                        table[:, miss] = outputs.T
-                filled = stop
-        except BaseException:
-            fresh = np.flatnonzero(~known[:filled])
+        chunks = -(-size // _CHUNK)
+        lock = threading.Lock()
+        next_chunk = 0
+        failed: dict[int, BaseException] = {}
+
+        def run(_part: int, _parts: int) -> None:
+            nonlocal next_chunk
+            chunk = next_chunk
+            # The lock is held except while a chunk is evaluated, so a failed
+            # charge is recorded before another part can take a chunk.
+            with lock:
+                try:
+                    while not failed and next_chunk < chunks:
+                        chunk = next_chunk
+                        next_chunk += 1
+                        start, stop = chunk * _CHUNK, min((chunk + 1) * _CHUNK, size)
+                        miss = np.flatnonzero(~known[start:stop]) + start
+                        if miss.size and self.ledger is not None:
+                            self.ledger.charge(miss.size, self.tag)
+                        lock.release()
+                        try:
+                            if miss.size:
+                                outputs = self.evaluate_misses(miss, memoize=False)
+                                if miss.size == stop - start:
+                                    table[:, start:stop] = outputs.T
+                                else:
+                                    table[:, miss] = outputs.T
+                        finally:
+                            lock.acquire()
+                except BaseException as exc:
+                    failed[chunk] = exc
+
+        _kernels.run_in_parts(size, chunks, run)
+        if failed:
+            first = min(failed)
+            fresh = np.flatnonzero(~known[: first * _CHUNK])
             self._store(fresh.tolist(), table[:, fresh].T)
-            raise
+            raise failed[first]
+        self._dense_evals = size - int(np.count_nonzero(known))
         self._dense = table
         return table
 

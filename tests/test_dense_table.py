@@ -6,13 +6,20 @@ every mask in ascending order, each chunk's misses charged, evaluated and
 memoized, then shapley_from_table on the class's column. value_batch's
 reference finds each chunk's misses before it reads the chunk. Each pair
 runs on twin games (same model, input, pre-memoized coalitions and budget)
-and must agree bit for bit, down to the model batches they send.
+and must agree bit for bit, down to the model batches they send. The fill
+split over several parts is checked against the fill on one part.
 """
 
+import contextlib
+import os
+import sys
+import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owenexplain import (
@@ -22,6 +29,7 @@ from owenexplain import (
     ModelOutputError,
     QueryLedger,
     VictimSpec,
+    _kernels,
     build_atom_grid,
     exact_shapley,
     make_rng,
@@ -33,8 +41,8 @@ from owenexplain.oracle import ClassGame, VectorGame
 
 
 class RecordingModel(Model):
-    """A victim that logs every batch it is sent and, from call fail_at on,
-    returns NaN."""
+    """A victim that logs every batch it is sent, shape first, and returns
+    NaN from call fail_at on, or for a batch holding the row poison."""
 
     def __init__(self, victim):
         self.victim = victim
@@ -42,12 +50,15 @@ class RecordingModel(Model):
         self.input_shape = victim.input_shape
         self.batches: list[bytes] = []
         self.fail_at: int | None = None
+        self.poison: np.ndarray | None = None
 
     def evaluate(self, batch):
         batch = np.asarray(batch)
         self.batches.append(repr(batch.shape).encode() + batch.tobytes())
         out = self.victim.evaluate(batch)
         if self.fail_at is not None and len(self.batches) > self.fail_at:
+            return np.full_like(out, np.nan)
+        if self.poison is not None and (batch == self.poison).all(axis=1).any():
             return np.full_like(out, np.nan)
         return out
 
@@ -64,6 +75,8 @@ def twin(case):
         game.fetch([bits])
     if case["fail_after"] is not None:
         model.fail_at = len(model.batches) + case["fail_after"]
+    if case.get("poison") is not None:
+        model.poison = game.masker.masked_batch([case["poison"]])[0]
     return game, model, ledger
 
 
@@ -228,3 +241,108 @@ def test_value_batch_matches_miss_first_walk(case):
             assert len(model.batches) == calls
             assert ledger.by_tag == charged
             assert game.evals_used == used
+
+
+@contextlib.contextmanager
+def split_fill(parts):
+    """Every table splits over parts parts, with a thread switch requested
+    every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(_kernels, "_SPLIT_MIN_SIZE", 1), \
+                mock.patch.object(_kernels, "_MAX_PARTS", parts), \
+                mock.patch.object(_kernels, "_cpu_count", lambda: parts):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def batch_rows(batch: bytes) -> int:
+    """Row count of a logged batch, from the repr of its shape."""
+    return int(batch[1:batch.index(b",")])
+
+
+@st.composite
+def split_cases(draw):
+    case = draw(cases())
+    # A batch holding the poisoned coalition fails whichever part sends it,
+    # so the failing chunk does not depend on the order of model calls.
+    case["fail_after"] = None
+    case["poison"] = draw(st.one_of(st.none(), st.integers(0, (1 << case["n"]) - 1)))
+    case["chunk"] = draw(st.sampled_from([1, 3, 64]))
+    # Three parts on two CPUs: more threads than cores.
+    case["parts"] = draw(st.sampled_from([2, 3]))
+    return case
+
+
+@given(split_cases())
+# The charge of chunk 10 fails with 2 evaluations left, which would cover
+# chunk 11's one miss: no part may take it.
+@example({"n": 8, "classes": 3, "seed": 1, "pre": [33, 34], "budget": 34, "fail_after": None,
+          "chunk": 3, "poison": None, "parts": 2})
+@settings(max_examples=100, deadline=None)
+def test_split_fill_matches_one_part(case):
+    with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
+        # n <= 10 never reaches _SPLIT_MIN_SIZE: the reference runs on one part.
+        ref_game, ref_model, ref_ledger = twin(case)
+        ref, ref_error = every_class(dense_shapley, ref_game)
+        game, model, ledger = twin(case)
+        calls, charged = len(model.batches), ledger.evals_used
+        before = threading.active_count()
+        with split_fill(case["parts"]):
+            got, error = every_class(dense_shapley, game)
+        assert threading.active_count() == before
+
+    assert got == ref
+    assert error is ref_error
+    # Every row the fill sent was charged, and every charge was sent.
+    assert sum(map(batch_rows, model.batches[calls:])) == ledger.evals_used - charged
+    # Memoized: the coalitions of the chunks below the first failing one.
+    assert list(game.memo.items()) == list(ref_game.memo.items())
+    assert game._table[: game._rows].tobytes() == ref_game._table[: ref_game._rows].tobytes()
+    assert game.evals_used == ref_game.evals_used
+    if error is ModelOutputError:
+        # The fill sent every batch one part sends, up to the failing one,
+        # and the batches of the chunks other parts had taken by then.
+        sent, one_part = Counter(model.batches), Counter(ref_model.batches)
+        assert not one_part - sent
+        extra = (sent - one_part).elements()
+        assert ledger.evals_used - ref_ledger.evals_used == sum(map(batch_rows, extra))
+    else:
+        assert sorted(model.batches) == sorted(ref_model.batches)
+        assert ledger.evals_used == ref_ledger.evals_used
+        assert ledger.by_tag == ref_ledger.by_tag
+    if error is None:
+        assert game._dense.tobytes() == ref_game._dense.tobytes()
+
+
+def fill_threads(game):
+    """The threads dense_table started."""
+    with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
+        game.dense_table()
+    return made.call_count
+
+
+def seventeen_atom_game():
+    case = {"n": 17, "classes": 4, "seed": 5, "pre": [0, 3, 1 << 16], "budget": None,
+            "fail_after": None}
+    return twin(case)[0]
+
+
+def test_split_fill_starts_one_thread_per_other_part():
+    one, split = seventeen_atom_game(), seventeen_atom_game()
+    with mock.patch.object(_kernels, "_cpu_count", lambda: 1):
+        assert fill_threads(one) == 0
+    with mock.patch.object(_kernels, "_cpu_count", lambda: 2):
+        assert fill_threads(split) == 1
+    assert split.dense_table().tobytes() == one.dense_table().tobytes()
+    assert split.evals_used == one.evals_used == (1 << 17)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_fill_parts_follow_the_real_affinity():
+    # No patching: under a one-CPU affinity (taskset -c 0) the fill runs on
+    # the caller's thread alone, on two CPUs or more it starts one helper.
+    game = seventeen_atom_game()
+    assert fill_threads(game) == min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS) - 1
