@@ -3,17 +3,17 @@ and subset-table Shapley accumulation, and the rule that splits a job
 over a large table between CPUs.
 
 The blur accumulates its taps in ascending-offset order. The Shapley
-kernel loops over atoms only: each atom's pass splits the table into the
-masks without and with that atom by a reshape, writes their differences
-into a gains buffer, and takes one dot product with one weight operand
-shared by every atom. run_in_parts splits a job over a table of at least
-_SPLIT_MIN_SIZE entries into up to _MAX_PARTS parts, one per CPU the
-process may run on, the caller's thread running one part and a thread of
-its own each other. The Shapley kernel deals its atoms over the parts,
-one gains buffer per part; each atom gets the same operations either
-way, so the values are byte-identical. The exact-Shapley dense fill
-(oracle.VectorGame.dense_table) uses the same split for its model
-batches, so the model is called from two threads at once.
+kernel is one O(2**n) fold on the caller's thread: it weights the
+centred table once by coalition size into a holding and a lacking table,
+then takes the bits from the top, reading each atom's value off the two
+tables' halves and adding each table's upper half onto its lower. Its
+reductions are numpy's own pairwise sums, so its bits do not depend on
+BLAS or its thread count. run_in_parts splits a job over a table of at
+least _SPLIT_MIN_SIZE entries into up to _MAX_PARTS parts, one per CPU
+the process may run on, the caller's thread running one part and a
+thread of its own each other. Only the exact-Shapley dense fill
+(oracle.VectorGame.dense_table) uses it, for its model batches, so the
+model is called from two threads at once.
 """
 
 from __future__ import annotations
@@ -25,20 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-# Tables of at least this many entries split their work over the CPUs:
-# the kernel its atoms, the dense fill its chunks.
-# Kernel, median ms per call, serial against two parts, on a 2-vCPU VM
-# with OpenBLAS held to one thread: n=16 2.24 / 2.25, n=17 4.86 / 3.63,
-# n=18 10.1 / 6.9, n=19 20.5 / 15.0, n=20 48.6 / 25.8. With OpenBLAS's
-# default two threads the split loses, because BLAS's worker busy-waits
-# on the second CPU between calls: n=17 5.1 / 6.1, n=20 52.5 / 58.8, and
-# four n=20 classes in a row 131 / 178-200 (BENCH_15.json). The dense
-# fill of a 20-atom game, one part against two: 146 / 84 with BLAS on one
-# thread, 101-108 / 98 with its default threads.
+# The dense fill of a table of at least this many entries splits its
+# chunks over the CPUs. The fill of a 20-atom game on a 2-vCPU VM, one
+# part against two: 146 / 84 ms with BLAS on one thread, 101-108 / 98 ms
+# with its default threads (BENCH_15.json).
 _SPLIT_MIN_SIZE = 1 << 17
 
-# Parts at most: two is the only count measured. Each kernel part holds
-# its own gains buffer of 2**(n-1) float64s (4 MB at n=20).
+# Parts at most: two is the only count measured.
 _MAX_PARTS = 2
 
 
@@ -148,21 +141,54 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     phi = np.empty(n, dtype=np.float64)
     if n == 0:
         return phi
-    # Deleting bit i maps the masks without atom i, ascending, onto
-    # [0, 2**(n-1)) and keeps each mask's size, so one weight operand,
-    # indexed by that compressed mask, serves every atom.
-    without = shapley_weights(n)[popcounts(n - 1)]
+    # With c = values - values[0] and w(s) = s!(n-s-1)!/n!, atom i gets
+    #   sum over T holding i of H(T) - sum over S lacking i of L(S),
+    # H(T) = w(|T|-1) c(T) and L(S) = w(|S|) c(S): each atom's weights sum
+    # to 1 on both sides, so centring changes no value. Bits are taken
+    # from the top: pairing T = m + 2**i with S = m gives
+    # phi[i] = sum over m < 2**i of H(m + 2**i) - L(m), and then the upper
+    # half of each table is added onto the lower, which sums both over bit
+    # i for the bits below. A dead atom i has H(m + 2**i) == L(m) in every
+    # bit, and both get the same adds, so its value is exactly 0.0.
+    half = size >> 1
+    lo, hi = values[:half], values[half:]
+    # Weights by size, shifted by one: padded[s + 1] = w(s), and 0 for the
+    # empty holding coalition and the full lacking one.
+    padded = np.concatenate(([0.0], shapley_weights(n), [0.0]))
+    # The halves are weighted in place row by row: a row of the
+    # (2**row_bits, 2**col_bits) view whose index has p set bits takes the
+    # weights rows[p + shift], so no weight array spans the table. A third
+    # of the bits as row bits keeps both the row loop and the weight rows
+    # short: at n = 20 it was the fastest split, about 2x faster than one
+    # weight row over the whole half.
+    row_bits = (n - 1) // 3
+    col_bits = n - 1 - row_bits
+    counts = popcounts(col_bits)
+    rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
+    row_counts = popcounts(row_bits)
 
-    def run(part: int, parts: int) -> None:
-        gains = np.empty(size >> 1, dtype=np.float64)
-        for i in range(part, n, parts):
-            # Axis 1 splits every mask by bit i: [:, 0] lacks atom i, [:, 1]
-            # holds it, both in ascending mask order. The gains land in a
-            # contiguous buffer: a strided dot operand takes another BLAS
-            # path, which sums in another order.
-            split = values.reshape(-1, 2, 1 << i)
-            np.subtract(split[:, 1], split[:, 0], out=gains.reshape(-1, 1 << i))
-            phi[i] = float(np.dot(without, gains))
+    def weigh(src: np.ndarray, shift: int, out: np.ndarray) -> None:
+        src2, out2 = src.reshape(-1, 1 << col_bits), out.reshape(-1, 1 << col_bits)
+        for r, p in enumerate(row_counts):
+            np.multiply(src2[r], rows[p + shift], out=out2[r])
 
-    run_in_parts(size, n, run)
+    # Bit n-1 on the two halves: the lower half's mask m has as many
+    # members as its row and column bits, the upper half's m + 2**(n-1)
+    # one more.
+    held = np.empty(half)
+    lacked = np.subtract(hi, values[0])
+    weigh(lacked, 1, held)  # H(m + 2**(n-1))
+    weigh(lacked, 2, lacked)  # L(m + 2**(n-1))
+    spare = np.subtract(lo, values[0])
+    weigh(spare, 1, spare)  # L(m)
+    lacked += spare
+    phi[n - 1] = np.subtract(held, spare, out=spare).sum()
+    np.subtract(lo, values[0], out=spare)
+    weigh(spare, 0, spare)  # H(m)
+    held += spare
+    for i in range(n - 2, -1, -1):
+        step = 1 << i
+        phi[i] = np.subtract(held[step : 2 * step], lacked[:step], out=spare[:step]).sum()
+        held[:step] += held[step : 2 * step]
+        lacked[:step] += lacked[step : 2 * step]
     return phi

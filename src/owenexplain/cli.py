@@ -92,9 +92,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration")
     _config_flag(parser, "--seed", "seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int,
-                        help="accepted and ignored; large exact Shapley tables use "
-                             "up to two of the CPUs the process may run on, with "
-                             "byte-identical outputs")
+                        help="accepted and ignored; the dense fill of a large exact "
+                             "Shapley table uses up to two of the CPUs the process "
+                             "may run on, with byte-identical outputs")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
     _config_flag(parser, "--victim", "victim.kind", choices=VICTIM_KINDS)
@@ -270,7 +270,6 @@ def cmd_extract(args) -> int:
                 "final_agreement": report.final_agreement,
                 "class_histogram": [int(c) for c in report.class_histogram],
                 "queries_total": report.queries_total,
-                "probe_charged": report.probe_charged,
                 "truncated": report.truncated,
             },
         )

@@ -237,7 +237,6 @@ class ExtractionReport:
     queries_total: int
     truncated: bool
     mode: str
-    probe_charged: bool = False  # probe evaluations are evaluation-only
 
     def ratio(self) -> float:
         """max/min class-count ratio of the training-query histogram."""

@@ -19,6 +19,51 @@ def rng():
     return np.random.default_rng(99)
 
 
+def folded_shapley(table, n):
+    """The kernel's order written plainly: the centred table weighted by
+    full-length gathers of each mask's size weight, then one fold per bit
+    from the top."""
+    padded = np.concatenate(([0.0], _kernels.shapley_weights(n), [0.0]))
+    counts = _kernels.popcounts(n).astype(np.intp)
+    centred = table - table[0]
+    held, lacked = padded[counts] * centred, padded[counts + 1] * centred
+    phi = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        step = 1 << i
+        phi[i] = np.sum(held[step:] - lacked[:step])
+        held, lacked = held[:step] + held[step:], lacked[:step] + lacked[step:]
+    return phi
+
+
+def dot_shapley(table, n):
+    """The kernel before the fold: per atom, the gains of adding it to each
+    mask that lacks it, dotted with the masks' size weights."""
+    phi = np.empty(n)
+    without = _kernels.shapley_weights(n)[_kernels.popcounts(n - 1)]
+    gains = np.empty(1 << (n - 1))
+    for i in range(n):
+        split = table.reshape(-1, 2, 1 << i)
+        np.subtract(split[:, 1], split[:, 0], out=gains.reshape(-1, 1 << i))
+        phi[i] = float(np.dot(without, gains))
+    return phi
+
+
+PINNED_PHI = [
+    "0x1.01c7ec3453bfcp-4",
+    "0x1.0f9ac7a33e110p-4",
+    "0x1.f7c1a3aaab1f2p-4",
+    "0x1.fc228ef6541c3p-5",
+    "0x1.f60db4a49f594p-5",
+    "0x1.fd711394bce6dp-4",
+    "0x1.ce9c0a5a56f6ep-5",
+    "0x1.17b27fd1ed0d6p-3",
+    "0x1.6bddb93d821c6p-4",
+    "0x1.8d26ca4d55fb0p-8",
+    "0x1.19ea0eee5ebdfp-6",
+    "0x1.b391eb2defa61p-6",
+]
+
+
 class TestPureKernels:
     def test_blur_preserves_constant(self):
         out = _kernels.gaussian_blur(np.full(20, 2.0), (4, 5), 1.5)
@@ -45,24 +90,53 @@ class TestPureKernels:
             assert np.allclose(phi, expected, rtol=0.0, atol=1e-12)
 
     def test_shapley_table_bitwise_equal_to_mask_gathers(self):
-        # Reference: select each atom's masks by a boolean gather and take
-        # the same weighted dot product; the table split must give the same
-        # operands in the same order, hence the same bits.
+        # Reference: gather every mask's holding and lacking weight at full
+        # length, then fold from the top bit; the kernel's weighted halves
+        # and folds must give the same operands in the same order, hence
+        # the same bits.
         r = rng()
-        cases = [(n, 1.0) for n in (1, 2, 7, 12, 16, 17, 20)]
-        cases += [(n, scale) for n in (12, 20) for scale in (1e-3, 1e6)]
-        for n, scale in cases:
-            table = scale * r.uniform(-1, 1, 1 << n)
-            lg = [math.lgamma(k + 1) for k in range(n + 1)]
-            weights = np.array([math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)])
-            masks = np.arange(1 << n, dtype=np.uint32)
-            counts = _kernels.popcounts(n)
-            expected = np.empty(n)
-            for i in range(n):
-                without = masks[(masks & np.uint32(1 << i)) == 0]
-                gains = table[without | np.uint32(1 << i)] - table[without]
-                expected[i] = float(np.dot(weights[counts[without]], gains))
-            assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
+        for n in (1, 2, 7, 12, 16, 17, 20):
+            for scale in (1.0, 1e-3, 1e6):
+                table = scale * r.uniform(-1, 1, 1 << n)
+                expected = folded_shapley(table, n)
+                assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
+
+    def test_shapley_table_close_to_dot_formula(self):
+        r = rng()
+        for n in (1, 2, 7, 12, 16, 17, 20):
+            table = r.uniform(-1, 1, 1 << n)
+            phi = _kernels.shapley_from_table(table, n)
+            assert np.allclose(phi, dot_shapley(table, n), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_dead_atom_is_exactly_zero(self, n):
+        table = rng().uniform(-1, 1, 1 << n)
+        masks = np.arange(1 << n)
+        for i in (0, n // 2, n - 1):
+            dead = table[masks & ~(1 << i)]
+            assert _kernels.shapley_from_table(dead, n)[i] == 0.0
+
+    @pytest.mark.parametrize("n", [12, 17, 20])
+    def test_offset_game_errs_no_more_than_dot_formula(self, n):
+        # Adding 1e6 to every value leaves the Shapley values unchanged.
+        # The kernel centres the table on the empty coalition, so its error
+        # is the rounding of table + 1e6, as it is for the dot formula's
+        # differences: the two agree to about 1e-5 of it.
+        table = rng().uniform(-1, 1, 1 << n)
+        exact = dot_shapley(table, n)
+        err = np.abs(_kernels.shapley_from_table(table + 1e6, n) - exact).max()
+        dot_err = np.abs(dot_shapley(table + 1e6, n) - exact).max()
+        assert err <= dot_err * (1 + 1e-4)
+
+    def test_shapley_table_bits_are_pinned(self):
+        # A table of exactly rounded quotients of integers, so it is the
+        # same on every platform; the values then pin numpy's pairwise
+        # summation order, which a SIMD or version change could move.
+        n = 12
+        masks = np.arange(1 << n, dtype=np.int64)
+        table = (masks * 2654435761 % 1000003) / 1000003.0
+        phi = _kernels.shapley_from_table(table, n)
+        assert [float(v).hex() for v in phi] == PINNED_PHI
 
     def test_shapley_table_of_no_atoms_is_empty(self):
         phi = _kernels.shapley_from_table(np.array([0.75]), 0)
@@ -88,19 +162,6 @@ class TestPureKernels:
         assert np.array_equal(out, [[1, 2, 0, 0], [0, 0, 3, 4]])
 
 
-def serial_shapley(values, n):
-    """The single-loop kernel before the atom split, as the reference: every
-    atom's gains in one reused buffer, atoms in ascending order."""
-    phi = np.empty(n)
-    without = _kernels.shapley_weights(n)[_kernels.popcounts(n - 1)]
-    gains = np.empty(1 << (n - 1))
-    for i in range(n):
-        split = values.reshape(-1, 2, 1 << i)
-        np.subtract(split[:, 1], split[:, 0], out=gains.reshape(-1, 1 << i))
-        phi[i] = float(np.dot(without, gains))
-    return phi
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets the CPUs the process may run on."""
@@ -110,53 +171,70 @@ def cpus(monkeypatch):
     return set_count
 
 
-def helper_threads(table, n):
-    """shapley_from_table's result and the number of threads it started."""
+def started_threads(call, *args):
+    """call's result and the number of threads it started."""
     with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
-        phi = _kernels.shapley_from_table(table, n)
-    return phi, made.call_count
+        result = call(*args)
+    return result, made.call_count
+
+
+def parts_of(size, limit):
+    """(part, parts) of every call run_in_parts makes, and its thread count."""
+    calls = []
+    _, started = started_threads(_kernels.run_in_parts, size, limit,
+                                 lambda part, parts: calls.append((part, parts)))
+    return sorted(calls), started
 
 
 class TestAtomSplit:
+    """The Shapley kernel once dealt its atoms over run_in_parts; it now runs
+    on the caller's thread at any CPU count, and run_in_parts serves the
+    dense fill alone."""
+
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 17, 19, 20])
     def test_bitwise_equal_to_single_loop(self, cpus, n, count):
-        # Two parts deal 17 and 19 atoms unevenly; three CPUs still make
-        # two parts; below 2**17 entries the kernel starts no thread.
         cpus(count)
         table = rng().uniform(-1, 1, 1 << n)
         before = threading.active_count()
-        phi, started = helper_threads(table, n)
-        assert phi.tobytes() == serial_shapley(table, n).tobytes()
-        expected = min(count, _kernels._MAX_PARTS) - 1 if 1 << n >= _kernels._SPLIT_MIN_SIZE else 0
-        assert started == expected
+        phi, started = started_threads(_kernels.shapley_from_table, table, n)
+        assert phi.tobytes() == folded_shapley(table, n).tobytes()
+        assert started == 0
         assert threading.active_count() == before
 
     def test_more_parts_than_cores_with_frequent_switches(self, cpus, monkeypatch):
-        # Every part writes its own atoms of phi; a lost or misplaced write
-        # would change the bytes. Three and eight parts deal 17 atoms
+        # Every part writes its own slots of out; a lost or misplaced write
+        # would change the bytes. Three and eight parts deal 17 slots
         # unevenly.
         cpus(8)
-        table = rng().uniform(-1, 1, 1 << 17)
+        table = rng().uniform(-1, 1, (17, 1 << 13))
+        expected = table.sum(axis=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for parts in (3, 8):
                 monkeypatch.setattr(_kernels, "_MAX_PARTS", parts)
-                phi, started = helper_threads(table, 17)
+                out = np.empty(17)
+
+                def run(part, count):
+                    for i in range(part, 17, count):
+                        out[i] = table[i].sum()
+
+                _, started = started_threads(_kernels.run_in_parts, 1 << 17, 17, run)
                 assert started == parts - 1
-                assert phi.tobytes() == serial_shapley(table, 17).tobytes()
+                assert out.tobytes() == expected.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_parts_follow_the_real_affinity(self):
-        # No patching: under a one-CPU affinity (taskset -c 0) the kernel
+        # No patching: under a one-CPU affinity (taskset -c 0) a large job
         # runs inline, on two CPUs or more it starts one helper thread.
-        table = rng().uniform(-1, 1, 1 << 17)
-        phi, started = helper_threads(table, 17)
-        assert started == min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS) - 1
-        assert phi.tobytes() == serial_shapley(table, 17).tobytes()
+        parts = min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS)
+        calls, started = parts_of(_kernels._SPLIT_MIN_SIZE, 20)
+        assert calls == [(part, parts) for part in range(parts)]
+        assert started == parts - 1
+        assert parts_of(_kernels._SPLIT_MIN_SIZE - 1, 20) == ([(0, 1)], 0)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -168,19 +246,45 @@ class TestAtomSplit:
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_part_exception_reaches_caller(self, cpus, failing):
         cpus(3)
-        dot = np.dot
+        finished = []
 
-        def failing_dot(a, b):
+        def run(part, parts):
             in_caller = threading.current_thread() is threading.main_thread()
             if in_caller == (failing == "caller"):
                 raise FloatingPointError(f"{failing} part")
-            return dot(a, b)
+            finished.append(part)
 
         before = threading.active_count()
-        with mock.patch.object(np, "dot", failing_dot):
-            with pytest.raises(FloatingPointError, match=f"{failing} part"):
-                _kernels.shapley_from_table(rng().uniform(-1, 1, 1 << 17), 17)
+        with pytest.raises(FloatingPointError, match=f"{failing} part"):
+            _kernels.run_in_parts(1 << 17, 17, run)
         assert threading.active_count() == before
+        assert finished == ([1] if failing == "caller" else [0])
+
+
+def test_oracle_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The 20-atom oracle's file, written under BLAS's default threads, one
+    # BLAS thread, and (where the platform has it) a one-CPU affinity set
+    # before numpy loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    cli = "from owenexplain.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    one_cpu = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    runs = [("default", env, ""), ("one-thread", dict(env, OPENBLAS_NUM_THREADS="1"), "")]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("one-cpu", env, one_cpu))
+    outputs = {}
+    for name, run_env, prefix in runs:
+        out = tmp_path / f"{name}.json"
+        result = subprocess.run(
+            [sys.executable, "-c", "import os, sys; " + prefix + cli, "oracle", "shapley",
+             "--victim", "linear_softmax", "--seed", "3", "--random", "--input-shape", "4,5",
+             "--block", "1,1", "--fill", "blur", "--out", str(out)],
+            env=run_env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs[name] = out.read_bytes()
+    assert len(set(outputs.values())) == 1, list(outputs)
 
 
 def test_full_table_is_a_read_only_row_of_the_class_major_table():
