@@ -183,7 +183,7 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     weigh(spare, 1, spare)  # L(m)
     lacked += spare
     phi[n - 1] = np.subtract(held, spare, out=spare).sum()
-    np.subtract(lo, values[0], out=spare)
+    np.subtract(lo, values[0], out=spare)  # c(m) again, so no fourth buffer
     weigh(spare, 0, spare)  # H(m)
     held += spare
     for i in range(n - 2, -1, -1):

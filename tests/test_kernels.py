@@ -36,8 +36,8 @@ def folded_shapley(table, n):
 
 
 def dot_shapley(table, n):
-    """The kernel before the fold: per atom, the gains of adding it to each
-    mask that lacks it, dotted with the masks' size weights."""
+    """The dot formula: per atom, the gains of adding it to each mask that
+    lacks it, dotted with the masks' size weights."""
     phi = np.empty(n)
     without = _kernels.shapley_weights(n)[_kernels.popcounts(n - 1)]
     gains = np.empty(1 << (n - 1))
@@ -187,9 +187,8 @@ def parts_of(size, limit):
 
 
 class TestAtomSplit:
-    """The Shapley kernel once dealt its atoms over run_in_parts; it now runs
-    on the caller's thread at any CPU count, and run_in_parts serves the
-    dense fill alone."""
+    """run_in_parts, the dense fill's split, and the Shapley kernel, which
+    starts no thread at any CPU count."""
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 17, 19, 20])
