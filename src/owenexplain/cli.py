@@ -256,9 +256,11 @@ def cmd_extract(args) -> int:
     report = run_extraction(ex_cfg)
     dump_csv(
         args.out,
-        ["round", "queries_cum", "agreement", "min_class_count", "max_class_count"],
+        ["round", "queries_cum", "agreement", "min_class_count", "max_class_count",
+         "truncated_jobs"],
         [
-            (r.round, r.queries_cum, r.agreement, r.min_class_count, r.max_class_count)
+            (r.round, r.queries_cum, r.agreement, r.min_class_count, r.max_class_count,
+             r.truncated_jobs)
             for r in report.rows
         ],
     )
@@ -271,6 +273,7 @@ def cmd_extract(args) -> int:
                 "class_histogram": [int(c) for c in report.class_histogram],
                 "queries_total": report.queries_total,
                 "truncated": report.truncated,
+                "truncated_jobs": [r.truncated_jobs for r in report.rows],
             },
         )
     return 0

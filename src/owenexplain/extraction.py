@@ -227,6 +227,8 @@ class RoundRow:
     agreement: float
     min_class_count: int
     max_class_count: int
+    # Synthesis jobs of the round that stopped short of their steps.
+    truncated_jobs: int
 
 
 @dataclass
@@ -264,16 +266,16 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
     probe = make_probe(victim, cfg.probe)
     probe_labels = np.argmax(victim.evaluate(probe), axis=1)
     histogram = np.zeros(victim.num_classes, dtype=np.int64)
-    rows = [RoundRow(0, 0, agreement(sub, victim, probe, probe_labels), 0, 0)]
+    rows = [RoundRow(0, 0, agreement(sub, victim, probe, probe_labels), 0, 0, 0)]
     # Labeled training queries as 2-D blocks of rows, in query order.
     train_x: list[np.ndarray] = []
     train_y: list[np.ndarray] = []
-    truncated = False
 
     quotas = _round_quotas(cfg.query_budget, cfg.rounds)
     for round_idx, quota in enumerate(quotas, start=1):
         target_used = ledger.evals_used + quota
         first_block = len(train_y)
+        truncated_jobs = 0
 
         if cfg.mode == "guided":
             if cfg.synth is None:
@@ -291,7 +293,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
                 seed = derive_seed(cfg.seed, "synth", round_idx, job)
                 synth_cfg = replace(cfg.synth, target_class=cls, seed=seed)
                 result = synthesize(wrapped, sub, synth_cfg, sub_ledger)
-                truncated = truncated or result.truncated
+                truncated_jobs += int(result.truncated)
                 if sub_ledger.evals_used > 0:
                     ledger.charge(sub_ledger.evals_used, "synth")
                 if result.victim_out is not None:
@@ -330,6 +332,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
                 agreement(sub, victim, probe, probe_labels),
                 int(histogram.min()),
                 int(histogram.max()),
+                truncated_jobs,
             )
         )
 
@@ -338,7 +341,7 @@ def run_extraction(cfg: ExtractionConfig) -> ExtractionReport:
         class_histogram=histogram,
         final_agreement=rows[-1].agreement,
         queries_total=ledger.evals_used,
-        truncated=truncated,
+        truncated=any(row.truncated_jobs for row in rows),
         mode=cfg.mode,
     )
 

@@ -81,8 +81,11 @@ class BoundMasker:
     def active_rows(self, bits_list) -> np.ndarray:
         """(len(bits_list), n_atoms) uint8 rows; row r, column i is bit i
         of mask bits_list[r]. Masks are Python ints of any width, or an
-        int64 array (up to 63 atoms)."""
+        int64 array (up to 63 atoms). Up to 63 atoms, Python ints are
+        read as int64 too."""
         n = self.grid.atom_count
+        if n <= 63 and not isinstance(bits_list, np.ndarray):
+            bits_list = np.fromiter(bits_list, np.int64, len(bits_list))
         if isinstance(bits_list, np.ndarray) and bits_list.dtype == np.int64:
             rows = np.ascontiguousarray(bits_list, dtype="<i8").view(np.uint8)
             rows = rows.reshape(len(bits_list), 8)

@@ -14,6 +14,14 @@ beyond. The masked model game below builds all of it from a model, an
 input and a masker: its full table is a row of the shared VectorGame's
 class-major dense table, filled once for every class, while value_batch
 goes through the sparse coalition memo.
+
+A ClassGame is read class-major instead: exact_owen and
+group_uniform_shapley read every class at once through its VectorGame's
+``values(masks)``, compute every class's attribution in one pass, and
+keep the rows on that VectorGame under the checked partition. A later
+call for any class of the same game and partition returns a copy of its
+row, charges nothing and reports evals_used 0. Any other game is the
+one-class case of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -87,6 +95,9 @@ class VectorGame:
         self._rows = 0
         self._dense: np.ndarray | None = None
         self._dense_evals = 0
+        # (engine, partition) -> (per-class values, per-class base values)
+        # of the class-major Owen engines, shared by every ClassGame.
+        self._attributions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def evals_used(self) -> int:
@@ -223,13 +234,29 @@ class VectorGame:
         out.setflags(write=False)
         return out
 
-    def column(self, bits_list, class_index: int) -> np.ndarray:
-        """One class's outputs for memoized coalitions, as a new array.
-        Raises KeyError if one of them is not memoized."""
+    def values(self, masks) -> np.ndarray:
+        """(num_classes, len(masks)) outputs of the coalitions masks, as a
+        new class-major array.
+
+        Masks are read in chunks of _CHUNK. A chunk that is not all
+        memoized has its misses charged and evaluated as one batch, in
+        first-seen order (fetch), before it is read.
+        """
+        masks = np.asarray(masks)
         if self._dense is not None:
-            return self._dense[class_index, np.asarray(bits_list, dtype=np.intp)]
-        rows = np.fromiter(map(self.memo.__getitem__, bits_list), np.intp, len(bits_list))
-        return self._table[rows, class_index]
+            return np.take(self._dense, masks.astype(np.intp), axis=1)
+        out = np.empty((self.model.num_classes, len(masks)), dtype=np.float64)
+        memo = self.memo
+        for start in range(0, len(masks), _CHUNK):
+            chunk = masks[start : start + _CHUNK].tolist()
+            # A chunk the memo already holds is read without a miss scan.
+            try:
+                rows = np.fromiter(map(memo.__getitem__, chunk), np.intp, len(chunk))
+            except KeyError:
+                self.fetch(chunk)
+                rows = np.fromiter(map(memo.__getitem__, chunk), np.intp, len(chunk))
+            out[:, start : start + len(chunk)] = self._table[rows].T
+        return out
 
 
 class ClassGame:
@@ -247,20 +274,7 @@ class ClassGame:
         return self.vector_game.evals_used
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
-        masks = np.asarray(masks)
-        out = np.empty(len(masks), dtype=np.float64)
-        game = self.vector_game
-        for start in range(0, len(masks), _CHUNK):
-            chunk = masks[start : start + _CHUNK].tolist()
-            # Once another class has filled the memo or the dense table, the
-            # read succeeds and no chunk is scanned for misses.
-            try:
-                column = game.column(chunk, self.class_index)
-            except KeyError:
-                game.fetch(chunk)
-                column = game.column(chunk, self.class_index)
-            out[start : start + len(chunk)] = column
-        return out
+        return self.vector_game.values(masks)[self.class_index]
 
     def full_table(self) -> np.ndarray:
         """This class's value of every coalition, indexed by mask, as a
@@ -355,6 +369,40 @@ def _ascending_unions(contexts, subsets, n_atoms: int) -> np.ndarray:
     return np.lexsort(keys.reshape(-1, width // 8).T)
 
 
+def _class_major(game, method: str, partition, engine) -> Attribution:
+    """Attribution of game by engine(read, classes, n_atoms, groups), which
+    returns (classes, n_atoms) values and (classes,) base values, reading
+    the game only through read(masks) -> (classes, len(masks)).
+
+    A ClassGame is read every class at once through its VectorGame, and
+    the result is kept there under (method, groups): a later call for any
+    class of that game returns a copy of its row and charges nothing. Any
+    other game is one class, read through value_batch."""
+    groups = check_partition(partition, game.n_atoms)
+    before = game.evals_used
+    if isinstance(game, ClassGame):
+        vector_game, row = game.vector_game, game.class_index
+        shared = vector_game._attributions
+        key = (method, tuple(map(tuple, groups)))
+        if key not in shared:
+            shared[key] = engine(
+                vector_game.values, vector_game.model.num_classes, game.n_atoms, groups)
+        values, base = shared[key]
+    else:
+        def read(masks):
+            return np.asarray(game.value_batch(masks), dtype=np.float64)[None, :]
+
+        values, base = engine(read, 1, game.n_atoms, groups)
+        row = 0
+    return Attribution(
+        values=values[row].copy(),
+        base_value=float(base[row]),
+        method=method,
+        class_index=getattr(game, "class_index", None),
+        evals_used=game.evals_used - before,
+    )
+
+
 def exact_owen(game, partition) -> Attribution:
     """Two-stage coalitional value: groups bargain first, members second.
 
@@ -362,14 +410,16 @@ def exact_owen(game, partition) -> Attribution:
     group of w_m(|Q|) * w_g(|S|) * [v(U(Q) u S u {i}) - v(U(Q) u S)].
     Coincides with exact_shapley under singleton groups.
     """
-    n = game.n_atoms
-    groups = check_partition(partition, n)
+    return _class_major(game, "exact_owen", partition, _owen_values)
+
+
+def _owen_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.ndarray]:
+    """exact_owen's values and base value of every class read returns."""
     m = len(groups)
-    before = game.evals_used
     dtype = _mask_dtype(n)
     group_bits = [sum(1 << i for i in g) for g in groups]
     outer_w = shapley_weights(m)
-    phi = np.zeros(n, dtype=np.float64)
+    phi = np.zeros((classes, n), dtype=np.float64)
 
     for gi, members in enumerate(groups):
         # Rows: unions of the other groups (contexts); columns: subsets of
@@ -379,52 +429,44 @@ def exact_owen(game, partition) -> Attribution:
         masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
         # Every mask is distinct; the game sees them in ascending order.
         order = _ascending_unions(contexts, subsets, n)
-        values = np.empty(masks.size, dtype=np.float64)
-        values[order] = game.value_batch(masks[order])
-        values = values.reshape(len(contexts), len(subsets))
+        values = np.empty((classes, masks.size), dtype=np.float64)
+        values[:, order] = read(masks[order])
         # The whole group lacks no member, so its weight (0.0) is never read.
         inner_w = np.append(shapley_weights(len(members)), 0.0)
         weights = outer_w[q_sizes][:, None] * inner_w[s_sizes][None, :]
         for j, atom in enumerate(members):
-            # Axis 2 splits the subsets by member j: [:, :, 0] lacks it,
-            # [:, :, 1] holds it. Terms run context by context, subsets
-            # ascending, and are summed left to right from 0.0.
-            split = values.reshape(len(contexts), -1, 2, 1 << j)
+            # Axis 3 splits the subsets by member j: [..., 0, :] lacks it,
+            # [..., 1, :] holds it. Each class's terms run context by
+            # context, subsets ascending, and are summed left to right from
+            # 0.0: one cumsum along each class's row.
+            split = values.reshape(classes, len(contexts), -1, 2, 1 << j)
             w = weights.reshape(len(contexts), -1, 2, 1 << j)[:, :, 0]
-            terms = w * (split[:, :, 1] - split[:, :, 0])
-            phi[atom] = np.cumsum(np.append(0.0, terms))[-1]
+            terms = (w * (split[:, :, :, 1] - split[:, :, :, 0])).reshape(classes, -1)
+            sums = np.cumsum(np.concatenate([np.zeros((classes, 1)), terms], axis=1), axis=1)
+            phi[:, atom] = sums[:, -1]
 
     # v(empty) is the first value of every group's batch, so a memoized
     # game reads it without a charge.
-    empty = float(game.value_batch(np.zeros(1, dtype=dtype))[0])
-    return Attribution(
-        values=phi,
-        base_value=empty,
-        method="exact_owen",
-        class_index=getattr(game, "class_index", None),
-        evals_used=game.evals_used - before,
-    )
+    return phi, read(np.zeros(1, dtype=dtype))[:, 0]
 
 
 def group_uniform_shapley(game, partition) -> Attribution:
     """Group-level exact Shapley, split uniformly across each group's atoms."""
-    n = game.n_atoms
-    groups = check_partition(partition, n)
+    return _class_major(game, "group_uniform", partition, _group_uniform_values)
+
+
+def _group_uniform_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.ndarray]:
+    """group_uniform_shapley's values and base value of every class read
+    returns: one subset-table kernel call per class."""
     m = len(groups)
-    before = game.evals_used
     masks, _ = _unions([sum(1 << i for i in g) for g in groups], _mask_dtype(n))
-    table = np.asarray(game.value_batch(masks), dtype=np.float64)
-    group_phi = _kernels.shapley_from_table(table, m)
-    phi = np.zeros(n, dtype=np.float64)
-    for gi, members in enumerate(groups):
-        phi[members] = group_phi[gi] / len(members)
-    return Attribution(
-        values=phi,
-        base_value=float(table[0]),
-        method="group_uniform",
-        class_index=getattr(game, "class_index", None),
-        evals_used=game.evals_used - before,
-    )
+    table = read(masks)
+    phi = np.zeros((classes, n), dtype=np.float64)
+    for row, values in zip(phi, table):
+        group_phi = _kernels.shapley_from_table(values, m)
+        for gi, members in enumerate(groups):
+            row[members] = group_phi[gi] / len(members)
+    return phi, table[:, 0]
 
 
 def masked_game(

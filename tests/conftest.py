@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from owenexplain import TableGame, make_rng
+from owenexplain import Model, TableGame, make_rng
 
 
 def random_table_game(n: int, seed: int) -> TableGame:
@@ -37,6 +37,29 @@ def permutation_shapley(game) -> np.ndarray:
             phi[player] += game.table[bits] - before
         count += 1
     return phi / count
+
+
+class RecordingModel(Model):
+    """A victim that logs every batch it is sent, shape first, and returns
+    NaN from call fail_at on, or for a batch holding the row poison."""
+
+    def __init__(self, victim):
+        self.victim = victim
+        self.num_classes = victim.num_classes
+        self.input_shape = victim.input_shape
+        self.batches: list[bytes] = []
+        self.fail_at: int | None = None
+        self.poison: np.ndarray | None = None
+
+    def evaluate(self, batch):
+        batch = np.asarray(batch)
+        self.batches.append(repr(batch.shape).encode() + batch.tobytes())
+        out = self.victim.evaluate(batch)
+        if self.fail_at is not None and len(self.batches) > self.fail_at:
+            return np.full_like(out, np.nan)
+        if self.poison is not None and (batch == self.poison).all(axis=1).any():
+            return np.full_like(out, np.nan)
+        return out
 
 
 @pytest.fixture

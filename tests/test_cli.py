@@ -159,6 +159,26 @@ class TestOracleCommand:
         assert [p["class"] for p in payloads] == list(range(len(payloads)))
         assert payloads[0]["evals_used"] == 1 << 18
 
+    @pytest.mark.parametrize("engine", ["owen", "group-uniform"])
+    def test_one_class_file_is_its_payload_of_all_classes(self, tmp_path, engine):
+        # 48 atoms in 8 groups of 6. The classes after the first read the
+        # shared result and report evals_used 0; every other byte of a
+        # payload is that of the class run alone.
+        from owenexplain.tensorio import dump_json
+        groups = "|".join(",".join(str(r * 8 + c) for r in range(6)) for c in range(8))
+        common = ["--victim", "linear_softmax", "--num-classes", "4", "--seed", "3",
+                  "--input-shape", "6,8", "--random", "--block", "1,1", "--fill", "blur",
+                  "--groups", groups]
+        every, one = tmp_path / "all.json", tmp_path / "two.json"
+        assert run("oracle", engine, *common, "--classes", "all", "--out", str(every)) == 0
+        assert run("oracle", engine, *common, "--classes", "2", "--out", str(one)) == 0
+        payloads = json.loads(every.read_text())
+        evals = [p["evals_used"] for p in payloads]
+        assert evals[0] > 0 and evals[1:] == [0, 0, 0]
+        expected = tmp_path / "expected.json"
+        dump_json(expected, dict(payloads[2], evals_used=evals[0]))
+        assert one.read_bytes() == expected.read_bytes()
+
     def test_malformed_groups_exit_two(self, tmp_path):
         assert run("oracle", "owen", "--victim", "linear_softmax", "--random",
                    "--block", "1", "--groups", "0,1|x",
@@ -267,6 +287,10 @@ class TestExtractCommand:
         assert payload["queries_total"] == 300
         assert "probe_charged" not in payload
         assert len(payload["class_histogram"]) == 4
+        assert payload["truncated"] is False and payload["truncated_jobs"] == [0, 0, 0]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "round,queries_cum,agreement,min_class_count,max_class_count,truncated_jobs"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0", "0", "0"]
 
 
     @pytest.mark.parametrize("mode", ["guided", "random"])

@@ -22,10 +22,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import RecordingModel
+
 from owenexplain import (
     BudgetExhausted,
     MaskerSpec,
-    Model,
     ModelOutputError,
     QueryLedger,
     VictimSpec,
@@ -38,29 +39,6 @@ from owenexplain import (
 )
 from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import ClassGame, VectorGame
-
-
-class RecordingModel(Model):
-    """A victim that logs every batch it is sent, shape first, and returns
-    NaN from call fail_at on, or for a batch holding the row poison."""
-
-    def __init__(self, victim):
-        self.victim = victim
-        self.num_classes = victim.num_classes
-        self.input_shape = victim.input_shape
-        self.batches: list[bytes] = []
-        self.fail_at: int | None = None
-        self.poison: np.ndarray | None = None
-
-    def evaluate(self, batch):
-        batch = np.asarray(batch)
-        self.batches.append(repr(batch.shape).encode() + batch.tobytes())
-        out = self.victim.evaluate(batch)
-        if self.fail_at is not None and len(self.batches) > self.fail_at:
-            return np.full_like(out, np.nan)
-        if self.poison is not None and (batch == self.poison).all(axis=1).any():
-            return np.full_like(out, np.nan)
-        return out
 
 
 def twin(case):
@@ -147,9 +125,9 @@ def test_dense_table_matches_memo_walk(case):
             assert len(game.memo) == len(set(case["pre"]))
             assert game.misses(masks) == []
             for c in range(case["classes"]):
-                expected = ref_game.column(masks, c).tobytes()
+                expected = ref_game.values(masks)[c].tobytes()
                 assert ClassGame(game, c).value_batch(np.array(masks)).tobytes() == expected
-                assert game.column(masks, c).tobytes() == expected
+                assert game.values(masks)[c].tobytes() == expected
             for bits in masks:
                 game.fetch([bits])
                 row = game.row(bits)
@@ -194,7 +172,7 @@ def miss_first_value_batch(game, class_index, masks):
             if game.ledger is not None:
                 game.ledger.charge(len(miss), game.tag)
             game.evaluate_misses(miss)
-        out[start : start + len(chunk)] = game.column(chunk, class_index)
+        out[start : start + len(chunk)] = game.values(chunk)[class_index]
     return out
 
 

@@ -206,10 +206,14 @@ class TestRunExtraction:
         short = run_extraction(base_config(mode="guided", budget=200, rounds=2,
                                            labels_topk=("soft", 1)))
         assert short.truncated
+        assert [r.truncated_jobs for r in short.rows] == [0, 4, 4]
         ample = run_extraction(base_config(mode="guided", budget=8000, rounds=1,
                                            labels_topk=("soft", 1)))
         assert not ample.truncated
-        assert not run_extraction(base_config(mode="random", budget=200, rounds=2)).truncated
+        assert [r.truncated_jobs for r in ample.rows] == [0, 0]
+        random = run_extraction(base_config(mode="random", budget=200, rounds=2))
+        assert not random.truncated
+        assert [r.truncated_jobs for r in random.rows] == [0, 0, 0]
 
     def test_comparison_arms_spend_identical_budgets(self):
         reports = run_comparison(base_config(budget=700, rounds=3, labels_topk=("soft", 1)))

@@ -303,7 +303,7 @@ def test_full_table_is_a_read_only_row_of_the_class_major_table():
         table = ClassGame(game, c).full_table()
         assert table.flags.c_contiguous and not table.flags.writeable
         assert np.shares_memory(table, dense)
-        assert table.tobytes() == memo_game.column(masks, c).tobytes()
+        assert table.tobytes() == memo_game.values(masks)[c].tobytes()
         with pytest.raises(ValueError):
             table[0] = 0.0
     assert dense.flags.writeable

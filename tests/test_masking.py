@@ -99,6 +99,26 @@ class TestActiveRows:
         assert from_array.shape == from_ints.shape == (len(masks), width)
         assert np.array_equal(from_array, from_ints)
 
+    @pytest.mark.parametrize("width", [1, 8, 48, 63, 72, 144])
+    def test_python_ints_match_byte_packing(self, width):
+        # Up to 63 atoms a list of Python ints takes the int64 path; past
+        # it, the rows still come from packing each mask's bytes.
+        grid = build_atom_grid((width,), (1,))
+        bound = BoundMasker(np.zeros(width), MaskerSpec(grid=grid, fill="mean"))
+        rng = make_rng(width)
+        masks = [0, (1 << width) - 1, 1 << (width - 1)]
+        masks += [sum(1 << i for i in np.flatnonzero(rng.uniform(size=width) < 0.5).tolist())
+                  for _ in range(40)]
+        nbytes = (width + 7) // 8
+        packed = b"".join([m.to_bytes(nbytes, "little") for m in masks])
+        expected = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), nbytes),
+                                 axis=1, count=width, bitorder="little")
+        rows = bound.active_rows(masks)
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), width)
+        assert rows.tobytes() == expected.tobytes()
+        if width <= 63:
+            assert bound.active_rows(np.array(masks, dtype=np.int64)).tobytes() == rows.tobytes()
+
 
 class TestBlur:
     def test_constant_tensor_unchanged(self):

@@ -1,11 +1,18 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import additive_game, permutation_shapley, random_table_game, unanimity_game
+from conftest import (
+    RecordingModel,
+    additive_game,
+    permutation_shapley,
+    random_table_game,
+    unanimity_game,
+)
 
 from owenexplain import (
     BudgetExhausted,
@@ -26,7 +33,16 @@ from owenexplain import (
     make_victim,
     masked_game,
 )
-from owenexplain.oracle import ClassGame, VectorGame, shapley_weights
+from owenexplain._kernels import shapley_from_table
+from owenexplain.oracle import (
+    _CHUNK,
+    ClassGame,
+    VectorGame,
+    _ascending_unions,
+    _mask_dtype,
+    _unions,
+    shapley_weights,
+)
 
 
 class QuadraticGame:
@@ -328,6 +344,185 @@ class TestMaskedGame:
         expected = model.evaluate(vg.masker.masked_batch(list(range(256))))
         assert np.allclose(np.stack([vg.row(b) for b in range(256)]), expected, rtol=0, atol=1e-12)
         assert np.array_equal(values, [vg.row(b)[2] for b in range(256)])
+
+
+class ChargeLog(QueryLedger):
+    """A ledger that also lists its charges, in order."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.charges: list[tuple[int, str]] = []
+
+    def try_charge(self, n: int, tag: str) -> bool:
+        charged = super().try_charge(n, tag)
+        if charged:
+            self.charges.append((n, tag))
+        return charged
+
+
+class OneClassGame:
+    """ClassGame as the engines read it one class at a time: it has only
+    value_batch, so exact_owen and group_uniform_shapley take their
+    one-class path. Each chunk's misses are fetched, then the class's
+    column is read from the memo."""
+
+    def __init__(self, vector_game: VectorGame, class_index: int):
+        self.vector_game = vector_game
+        self.class_index = class_index
+        self.n_atoms = vector_game.n_atoms
+
+    @property
+    def evals_used(self) -> int:
+        return self.vector_game.evals_used
+
+    def value_batch(self, masks) -> np.ndarray:
+        game, masks = self.vector_game, np.asarray(masks)
+        out = np.empty(len(masks), dtype=np.float64)
+        for start in range(0, len(masks), _CHUNK):
+            chunk = masks[start : start + _CHUNK].tolist()
+            game.fetch(chunk)
+            out[start : start + len(chunk)] = game._table[[game.memo[b] for b in chunk],
+                                                          self.class_index]
+        return out
+
+
+def loop_owen(game, groups):
+    """exact_owen of one class, one atom at a time: each atom's terms in a
+    1-D cumsum from 0.0. Returns (values, base value, evals used)."""
+    n, m = game.n_atoms, len(groups)
+    before, dtype = game.evals_used, _mask_dtype(n)
+    group_bits = [sum(1 << i for i in g) for g in groups]
+    outer_w = shapley_weights(m)
+    phi = np.zeros(n)
+    for gi, members in enumerate(groups):
+        contexts, q_sizes = _unions([group_bits[h] for h in range(m) if h != gi], dtype)
+        subsets, s_sizes = _unions([1 << atom for atom in members], dtype)
+        masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
+        order = _ascending_unions(contexts, subsets, n)
+        values = np.empty(masks.size)
+        values[order] = game.value_batch(masks[order])
+        values = values.reshape(len(contexts), len(subsets))
+        inner_w = np.append(shapley_weights(len(members)), 0.0)
+        weights = outer_w[q_sizes][:, None] * inner_w[s_sizes][None, :]
+        for j, atom in enumerate(members):
+            split = values.reshape(len(contexts), -1, 2, 1 << j)
+            w = weights.reshape(len(contexts), -1, 2, 1 << j)[:, :, 0]
+            terms = w * (split[:, :, 1] - split[:, :, 0])
+            phi[atom] = np.cumsum(np.append(0.0, terms))[-1]
+    base = float(game.value_batch(np.zeros(1, dtype=dtype))[0])
+    return phi, base, game.evals_used - before
+
+
+def loop_group_uniform(game, groups):
+    """group_uniform_shapley of one class. Returns (values, base value,
+    evals used)."""
+    before = game.evals_used
+    masks, _ = _unions([sum(1 << i for i in g) for g in groups], _mask_dtype(game.n_atoms))
+    table = np.asarray(game.value_batch(masks), dtype=np.float64)
+    group_phi = shapley_from_table(table, len(groups))
+    phi = np.zeros(game.n_atoms)
+    for gi, members in enumerate(groups):
+        phi[members] = group_phi[gi] / len(members)
+    return phi, float(table[0]), game.evals_used - before
+
+
+LOOP_REFERENCE = {exact_owen: loop_owen, group_uniform_shapley: loop_group_uniform}
+
+
+# Owen partitions: 48 atoms in 8 groups of 6 (int64 masks), and 72 atoms
+# in 8 interleaved groups of 9, each with members in both 64-bit words
+# (object masks).
+CLASS_MAJOR_CASES = {
+    48: ((6, 8), [[row * 8 + col for row in range(6)] for col in range(8)]),
+    72: ((72,), [list(range(g, 72, 8)) for g in range(8)]),
+}
+
+
+def class_major_game(n: int, ledger: QueryLedger | None):
+    shape, _ = CLASS_MAJOR_CASES[n]
+    spec = VictimSpec(kind="linear_softmax", seed=n, num_classes=4, input_shape=shape,
+                      weight_scale=3.0)
+    model = RecordingModel(make_victim(spec))
+    masker = MaskerSpec(grid=build_atom_grid(shape, (1,) * len(shape)), fill="blur")
+    x = make_rng(n).uniform(0.0, 1.0, masker.grid.n_cells)
+    return VectorGame(model, x, masker, ledger, tag="oracle"), model
+
+
+def small_game(ledger: QueryLedger | None = None) -> VectorGame:
+    spec = VictimSpec(kind="linear_softmax", seed=8, num_classes=3, input_shape=(3, 4),
+                      weight_scale=3.0)
+    masker = MaskerSpec(grid=build_atom_grid((3, 4), (1, 1)), fill="mean")
+    return VectorGame(make_victim(spec), make_rng(8).uniform(0.0, 1.0, 12), masker, ledger)
+
+
+SMALL_GROUPS = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+
+
+class TestClassMajor:
+    """exact_owen and group_uniform_shapley read a ClassGame's VectorGame
+    once for every class and share the result with the other classes."""
+
+    @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
+    @pytest.mark.parametrize("ledger", [False, True])
+    @pytest.mark.parametrize("n", [48, 72])
+    def test_every_class_matches_the_one_class_path(self, n, ledger, engine):
+        groups = CLASS_MAJOR_CASES[n][1]
+        ref_game, ref_model = class_major_game(n, ChargeLog() if ledger else None)
+        ref = [LOOP_REFERENCE[engine](OneClassGame(ref_game, c), groups) for c in range(4)]
+        game, model = class_major_game(n, ChargeLog() if ledger else None)
+        got = [engine(ClassGame(game, c), groups) for c in range(4)]
+        for c, (attr, (values, base, _)) in enumerate(zip(got, ref)):
+            assert attr.values.tobytes() == values.tobytes()
+            assert attr.base_value.hex() == base.hex()
+            assert attr.class_index == c
+        # The one-class path of the same engine gives the same bits.
+        one_class = engine(OneClassGame(ref_game, 3), groups)
+        assert one_class.values.tobytes() == got[3].values.tobytes()
+        assert len(game.memo) > 0
+        assert [a.evals_used for a in got] == [r[2] for r in ref] == [len(game.memo), 0, 0, 0]
+        assert Counter(model.batches) == Counter(ref_model.batches)
+        if ledger:
+            assert game.ledger.charges == ref_game.ledger.charges
+            assert game.ledger.evals_used == len(game.memo)
+
+    @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
+    def test_returned_values_are_copies(self, engine):
+        game = small_game()
+        first = engine(ClassGame(game, 1), SMALL_GROUPS)
+        kept = first.values.tobytes()
+        first.values[:] = 7.0
+        assert engine(ClassGame(game, 1), SMALL_GROUPS).values.tobytes() == kept
+        assert engine(ClassGame(game, 0), SMALL_GROUPS).values.tobytes() == engine(
+            ClassGame(small_game(), 0), SMALL_GROUPS).values.tobytes()
+
+    @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
+    def test_reordered_partition_has_its_own_entry(self, engine):
+        game = small_game()
+        engine(ClassGame(game, 0), SMALL_GROUPS)
+        reordered = SMALL_GROUPS[::-1]
+        got = engine(ClassGame(game, 2), reordered)
+        expected = engine(ClassGame(small_game(), 2), reordered)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.evals_used == 0
+        assert len(game._attributions) == 2
+        # Members listed in another order give the same checked partition.
+        engine(ClassGame(game, 1), [g[::-1] for g in SMALL_GROUPS])
+        assert len(game._attributions) == 2
+
+    @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
+    def test_budget_exhausted_midway_caches_nothing(self, engine):
+        expected = engine(ClassGame(small_game(), 1), SMALL_GROUPS)
+        ledger = QueryLedger(budget=expected.evals_used - 1)
+        game = small_game(ledger)
+        with pytest.raises(BudgetExhausted):
+            engine(ClassGame(game, 0), SMALL_GROUPS)
+        assert game._attributions == {}
+        charged = ledger.evals_used
+        ledger.budget = None
+        got = engine(ClassGame(game, 1), SMALL_GROUPS)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.evals_used == expected.evals_used - charged
+        assert ledger.evals_used == expected.evals_used
 
 
 class BrokenModel(Model):

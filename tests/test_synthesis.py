@@ -364,3 +364,4 @@ class TestLedgerProperty:
         assert outer.refused == 0
         assert all(job.evals_used <= job.budget for job in jobs)
         assert report.truncated == any(job.refused for job in jobs)
+        assert sum(r.truncated_jobs for r in report.rows) == sum(job.refused > 0 for job in jobs)
