@@ -149,9 +149,7 @@ def explain_all_classes(
 
     # ExplainConfig guarantees max_evals >= 2, so only the ledger can
     # refuse the root pair.
-    game.fetch([0, game.full_bits])
-    v_empty = game.row(0)
-    v_full = game.row(game.full_bits)
+    v_empty, v_full = game.read([0, game.full_bits])
 
     root_entry = _Entry(0, v_full, v_full - v_empty)
     final: list[_Entry] = []
@@ -183,7 +181,7 @@ def explain_all_classes(
         left = tree.nodes[node.left]
         right = tree.nodes[node.right]
         try:
-            game.fetch(
+            v_left, v_right = game.read(
                 [left.bits, right.bits],
                 None if budget is None else budget - game.evals_used,
             )
@@ -191,8 +189,6 @@ def explain_all_classes(
             final.append(entry)
             final.extend(item[-1] for item in heap)
             break
-        v_left = game.row(left.bits)
-        v_right = game.row(right.bits)
         s_left = 0.5 * ((v_left - v_empty) + (entry.v_node - v_right))
         s_right = 0.5 * ((v_right - v_empty) + (entry.v_node - v_left))
         credit_left, credit_right = _split_credit(entry.credit, s_left, s_right)

@@ -13,7 +13,8 @@ batches are int64 arrays up to 63 atoms and object arrays of Python ints
 beyond. The masked model game below builds all of it from a model, an
 input and a masker: its full table is a row of the shared VectorGame's
 class-major dense table, filled once for every class, while value_batch
-goes through the sparse coalition memo.
+looks each chunk of masks up in the memo's sorted mask index and
+evaluates only the misses.
 
 A ClassGame is read class-major instead: exact_owen and
 group_uniform_shapley read every class at once through its VectorGame's
@@ -69,9 +70,12 @@ class VectorGame:
     A memo hit is free; a miss charges the ledger exactly one evaluation.
     One instance serves every class of an explanation, so multi-class
     attributions share a single evaluation stream. Outputs are rows of one
-    growing (rows, num_classes) table; memo maps each coalition's bits to
-    its row, so len(memo) counts coalitions. Once dense_table has been
-    built, every lookup reads it instead and charges nothing.
+    growing (rows, num_classes) table. The memo is a sorted mask index:
+    memo holds the memoized coalitions in ascending order (int64 up to 63
+    atoms, Python ints beyond) and memo_rows the table row of each, so
+    len(memo) counts coalitions. Once dense_table has been built, every
+    lookup reads it instead and charges nothing. read evaluates
+    coalitions that are never asked for twice, outside the memo.
     """
 
     def __init__(
@@ -90,48 +94,44 @@ class VectorGame:
         self.tag = tag
         self.n_atoms = masker.grid.atom_count
         self.full_bits = (1 << self.n_atoms) - 1
-        self.memo: dict[int, int] = {}
+        self.memo = np.empty(0, dtype=_mask_dtype(self.n_atoms))
+        self.memo_rows = np.empty(0, dtype=np.intp)
         self._table = np.empty((_FIRST_ROWS, model.num_classes), dtype=np.float64)
-        self._rows = 0
         self._dense: np.ndarray | None = None
         self._dense_evals = 0
+        self._read_evals = 0
         # (engine, partition) -> (per-class values, per-class base values)
         # of the class-major Owen engines, shared by every ClassGame.
         self._attributions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def evals_used(self) -> int:
-        """Coalitions evaluated: the memoized ones, plus the dense table's
-        others once it is built."""
-        return self._rows + self._dense_evals
+        """Coalitions evaluated: the memoized ones, the dense table's
+        others once it is built, and those read outside the memo."""
+        return len(self.memo) + self._dense_evals + self._read_evals
 
-    def misses(self, bits_list) -> list[int]:
-        """Distinct coalitions not yet memoized, in first-seen order."""
-        if self._dense is not None:
-            return []
-        memo = self.memo
-        return [bits for bits in dict.fromkeys(bits_list) if bits not in memo]
-
-    def fetch(self, bits_list, limit: int | None = None) -> None:
-        """Charge and evaluate, as one ledger charge and one model batch,
-        the distinct coalitions of bits_list that are not yet memoized.
+    def read(self, bits_list, limit: int | None = None) -> np.ndarray:
+        """(len(bits_list), num_classes) outputs of the coalitions
+        bits_list, charged as one ledger charge and evaluated as one
+        checked model batch, without the memo: the caller asks for each
+        coalition once.
 
         Raises BudgetExhausted, charging and evaluating nothing, if they
         number more than limit or than the ledger has left.
         """
-        miss = self.misses(bits_list)
-        if not miss:
-            return
-        if limit is not None and len(miss) > limit:
-            raise BudgetExhausted(f"{len(miss)} coalitions exceed the limit of {limit}")
+        if limit is not None and len(bits_list) > limit:
+            raise BudgetExhausted(f"{len(bits_list)} coalitions exceed the limit of {limit}")
         if self.ledger is not None:
-            self.ledger.charge(len(miss), self.tag)
-        self.evaluate_misses(miss)
+            self.ledger.charge(len(bits_list), self.tag)
+        outputs = checked_outputs(self.model, self.masker.masked_batch(bits_list))
+        self._read_evals += len(bits_list)
+        return outputs
 
     def evaluate_misses(self, miss_list, memoize: bool = True) -> np.ndarray:
-        """Evaluate coalitions assumed already charged to the ledger and
-        return their (len(miss_list), num_classes) outputs, memoized unless
-        memoize is False. miss_list holds Python ints or is an int64 array.
+        """Evaluate distinct coalitions assumed already charged to the
+        ledger and not memoized, and return their (len(miss_list),
+        num_classes) outputs, memoized unless memoize is False. miss_list
+        holds masks, as a list or an array.
 
         Raises ModelOutputError, and memoizes nothing, if the model's
         outputs are mis-shaped or not finite.
@@ -143,16 +143,20 @@ class VectorGame:
             self._store(miss_list, outputs)
         return outputs
 
-    def _store(self, bits_list: list[int], outputs: np.ndarray) -> None:
-        """Memoize evaluated coalitions as the next rows of the table."""
-        start, stop = self._rows, self._rows + len(bits_list)
+    def _store(self, masks: np.ndarray, outputs: np.ndarray) -> None:
+        """Memoize evaluated coalitions as the next rows of the table, and
+        merge them into the index."""
+        masks = np.asarray(masks, dtype=self.memo.dtype)
+        start, stop = len(self.memo), len(self.memo) + len(masks)
         if stop > len(self._table):
             grown = np.empty((max(stop, 2 * len(self._table)), outputs.shape[1]), dtype=np.float64)
             grown[:start] = self._table[:start]
             self._table = grown
         self._table[start:stop] = outputs
-        self.memo.update(zip(bits_list, range(start, stop)))
-        self._rows = stop
+        order = np.argsort(masks)
+        at = np.searchsorted(self.memo, masks[order])
+        self.memo = np.insert(self.memo, at, masks[order])
+        self.memo_rows = np.insert(self.memo_rows, at, start + order)
 
     def dense_table(self) -> np.ndarray:
         """(num_classes, 2**n_atoms) outputs of every coalition, class-major:
@@ -160,17 +164,18 @@ class VectorGame:
         each class's values are one contiguous row.
 
         Built once, in chunks of _CHUNK masks: memoized coalitions are
-        copied in, and each chunk's others are charged and evaluated as one
-        batch, the batches the memo path would send. None is added to the
-        memo. The chunks are split over the parts of _kernels.run_in_parts,
-        so a table of _kernels._SPLIT_MIN_SIZE entries or more calls the
-        model from two threads at once. Parts take chunks in ascending order
-        and charge each under one lock before it reaches the model; once a
-        charge or an evaluation has failed, no part takes another chunk.
-        Chunks that other parts took while the failing one was in flight
-        stay charged and evaluated, but only the coalitions of the chunks
-        below the failing one are memoized, as one part would have
-        memoized them. Then its error is raised and no table is kept.
+        copied in from the index, and each chunk's others are charged and
+        evaluated as one batch, the batches the memo path would send. None
+        is added to the memo. The chunks are split over the parts of
+        _kernels.run_in_parts, so a table of _kernels._SPLIT_MIN_SIZE
+        entries or more calls the model from two threads at once. Parts
+        take chunks in ascending order and charge each under one lock
+        before it reaches the model; once a charge or an evaluation has
+        failed, no part takes another chunk. Chunks that other parts took
+        while the failing one was in flight stay charged and evaluated,
+        but only the coalitions of the chunks below the failing one are
+        memoized, as one part would have memoized them. Then its error is
+        raised and no table is kept.
         """
         if self._dense is not None:
             return self._dense
@@ -179,10 +184,8 @@ class VectorGame:
         size = 1 << self.n_atoms
         table = np.empty((self.model.num_classes, size), dtype=np.float64)
         known = np.zeros(size, dtype=bool)
-        if self.memo:
-            bits = np.fromiter(self.memo, np.int64, len(self.memo))
-            known[bits] = True
-            table[:, bits] = self._table[np.fromiter(self.memo.values(), np.intp, len(bits))].T
+        known[self.memo] = True
+        table[:, self.memo] = self._table[self.memo_rows].T
         chunks = -(-size // _CHUNK)
         lock = threading.Lock()
         next_chunk = 0
@@ -219,42 +222,44 @@ class VectorGame:
         if failed:
             first = min(failed)
             fresh = np.flatnonzero(~known[: first * _CHUNK])
-            self._store(fresh.tolist(), table[:, fresh].T)
+            self._store(fresh, table[:, fresh].T)
             raise failed[first]
         self._dense_evals = size - int(np.count_nonzero(known))
         self._dense = table
         return table
 
-    def row(self, bits: int) -> np.ndarray:
-        """Read-only output vector of a memoized coalition."""
-        if self._dense is not None:
-            out = self._dense[:, bits]
-        else:
-            out = self._table[self.memo[bits]]
-        out.setflags(write=False)
-        return out
-
     def values(self, masks) -> np.ndarray:
         """(num_classes, len(masks)) outputs of the coalitions masks, as a
         new class-major array.
 
-        Masks are read in chunks of _CHUNK. A chunk that is not all
-        memoized has its misses charged and evaluated as one batch, in
-        first-seen order (fetch), before it is read.
+        Masks are read in chunks of _CHUNK, each looked up in the index
+        with one searchsorted. A chunk that is not all memoized has its
+        distinct misses charged and evaluated as one batch, in first-seen
+        order, and merged into the index before it is read.
         """
-        masks = np.asarray(masks)
         if self._dense is not None:
-            return np.take(self._dense, masks.astype(np.intp), axis=1)
+            return np.take(self._dense, np.asarray(masks, dtype=np.intp), axis=1)
+        masks = np.asarray(masks, dtype=self.memo.dtype)
         out = np.empty((self.model.num_classes, len(masks)), dtype=np.float64)
-        memo = self.memo
         for start in range(0, len(masks), _CHUNK):
-            chunk = masks[start : start + _CHUNK].tolist()
-            # A chunk the memo already holds is read without a miss scan.
-            try:
-                rows = np.fromiter(map(memo.__getitem__, chunk), np.intp, len(chunk))
-            except KeyError:
-                self.fetch(chunk)
-                rows = np.fromiter(map(memo.__getitem__, chunk), np.intp, len(chunk))
+            chunk = masks[start : start + _CHUNK]
+            rows = np.zeros(len(chunk), dtype=np.intp)
+            known = np.zeros(len(chunk), dtype=bool)
+            if len(self.memo):
+                at = np.searchsorted(self.memo, chunk)
+                known = self.memo.take(at, mode="clip") == chunk
+                rows = self.memo_rows.take(at, mode="clip")
+            if not known.all():
+                miss, first, inverse = np.unique(
+                    chunk[~known], return_index=True, return_inverse=True)
+                seen = np.argsort(first)
+                if self.ledger is not None:
+                    self.ledger.charge(len(miss), self.tag)
+                # Misses take the next table rows, in first-seen order.
+                fresh = np.empty_like(seen)
+                fresh[seen] = np.arange(len(self.memo), len(self.memo) + len(seen))
+                self.evaluate_misses(miss[seen])
+                rows[~known] = fresh[inverse]
             out[:, start : start + len(chunk)] = self._table[rows].T
         return out
 
@@ -324,8 +329,10 @@ def exact_shapley(game) -> Attribution:
 
 def check_partition(partition, n: int) -> list[list[int]]:
     """The groups, each sorted; ValueError unless they partition range(n)
-    within the Owen guards."""
+    into non-empty groups within the Owen guards."""
     groups = [sorted(int(i) for i in g) for g in partition]
+    if not all(groups):
+        raise ValueError("groups must not be empty")
     flat = [i for g in groups for i in g]
     if sorted(flat) != list(range(n)):
         raise ValueError("groups must partition the atom set exactly")
@@ -351,22 +358,6 @@ def _unions(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
         bits = np.concatenate([bits, bits | part])
         sizes = np.concatenate([sizes, sizes + 1])
     return bits, sizes
-
-
-def _ascending_unions(contexts, subsets, n_atoms: int) -> np.ndarray:
-    """Order that sorts (contexts[:, None] | subsets[None, :]).reshape(-1)
-    ascending. Each mask is cut into 64-bit words, which np.lexsort
-    compares from the most significant down, so no Python int is compared
-    past 63 atoms."""
-    width = 8 * max(1, (n_atoms + 63) // 64)
-
-    def words(masks):
-        packed = b"".join([bits.to_bytes(width, "little") for bits in masks.tolist()])
-        return np.frombuffer(packed, dtype="<u8").reshape(len(masks), -1)
-
-    keys = words(contexts)[:, None] | words(subsets)[None, :]
-    # lexsort's last key is its primary one: the most significant word.
-    return np.lexsort(keys.reshape(-1, width // 8).T)
 
 
 def _class_major(game, method: str, partition, engine) -> Attribution:
@@ -428,7 +419,7 @@ def _owen_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.nda
         subsets, s_sizes = _unions([1 << atom for atom in members], dtype)
         masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
         # Every mask is distinct; the game sees them in ascending order.
-        order = _ascending_unions(contexts, subsets, n)
+        order = np.argsort(masks)
         values = np.empty((classes, masks.size), dtype=np.float64)
         values[:, order] = read(masks[order])
         # The whole group lacks no member, so its weight (0.0) is never read.

@@ -155,10 +155,10 @@ def _class_term(
     """
     cost = explain_cost(max_evals, tree, ledger)
     game = VectorGame(victim, x, masker, ledger, tag="explain")
-    game.fetch([0, game.full_bits])
+    v_empty, v_full = game.read([0, game.full_bits])
     if ledger is not None and cost > 2:
         ledger.charge(cost - 2, "explain")
-    return float(game.row(game.full_bits)[target] - game.row(0)[target])
+    return float(v_full[target] - v_empty[target])
 
 
 def synthesize(

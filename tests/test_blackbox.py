@@ -367,10 +367,12 @@ class TestReadPath:
     def test_coalition_game_rejects(self, fault, topk):
         game = VectorGame(broken(fault, topk), X, MASKER)
         with pytest.raises(ModelOutputError):
-            game.fetch([0, game.full_bits])
+            game.read([0, game.full_bits])
+        with pytest.raises(ModelOutputError):
+            game.values([0, game.full_bits])
         with pytest.raises(ModelOutputError):
             game.dense_table()
-        assert not game.memo and game.evals_used == 0
+        assert len(game.memo) == 0 and game.evals_used == 0
 
     @pytest.mark.parametrize("topk", BARE_AND_WRAPPED, ids=mode_id)
     def test_one_shape_and_one_finiteness_check_per_batch(self, topk):
@@ -380,8 +382,8 @@ class TestReadPath:
         with mock.patch.object(blackbox, "_shaped_outputs",
                                wraps=blackbox._shaped_outputs) as shaped:
             with mock.patch.object(np, "isfinite", wraps=np.isfinite) as counted:
-                game.fetch([0, game.full_bits])
+                out = game.read([0, game.full_bits])
         assert shaped.call_count == 1
         assert [c.args[0].shape for c in counted.call_args_list] == [(2, 4)]
         expected = probs if topk is None else topk.apply_batch(probs)
-        assert np.array_equal(np.stack([game.row(0), game.row(game.full_bits)]), expected)
+        assert np.array_equal(out, expected)

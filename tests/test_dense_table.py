@@ -1,13 +1,13 @@
 """exact_shapley's dense coalition table, and ClassGame.value_batch's
-memo-first read, against the walks they replaced.
+read through the sorted mask index, against the walks they replaced.
 
-exact_shapley's reference is what it did before: ClassGame.value_batch over
-every mask in ascending order, each chunk's misses charged, evaluated and
-memoized, then shapley_from_table on the class's column. value_batch's
-reference finds each chunk's misses before it reads the chunk. Each pair
-runs on twin games (same model, input, pre-memoized coalitions and budget)
-and must agree bit for bit, down to the model batches they send. The fill
-split over several parts is checked against the fill on one part.
+exact_shapley's reference is what it did before: every mask read in
+ascending order through the dict memo (conftest.DictMemo), each chunk's
+misses charged, evaluated and memoized, then shapley_from_table on the
+class's column. value_batch's reference is the same dict memo walk. Each
+pair runs on twin games (same model, input, pre-memoized coalitions and
+budget) and must agree bit for bit, down to the model batches they send.
+The fill split over several parts is checked against the fill on one part.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RecordingModel
+from conftest import DictMemo, RecordingModel, assert_index_matches
 
 from owenexplain import (
     BudgetExhausted,
@@ -41,29 +41,31 @@ from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import ClassGame, VectorGame
 
 
-def twin(case):
+def twin(case, reference: bool = False):
+    """(game, model, ledger) with case's coalitions memoized one read each;
+    under reference, game is a DictMemo of the VectorGame."""
     spec = VictimSpec(kind="linear_softmax", seed=case["seed"], num_classes=case["classes"],
                       input_shape=(case["n"],), weight_scale=3.0)
     model = RecordingModel(make_victim(spec))
     masker = MaskerSpec(grid=build_atom_grid((case["n"],), (1,)), fill="mean")
     x = make_rng(case["seed"]).uniform(0.0, 1.0, case["n"])
     ledger = QueryLedger(budget=case["budget"])
-    game = VectorGame(model, x, masker, ledger, tag="oracle")
+    vector_game = VectorGame(model, x, masker, ledger, tag="oracle")
+    game = DictMemo(vector_game) if reference else vector_game
     for bits in case["pre"]:
-        game.fetch([bits])
+        game.values([bits])
     if case["fail_after"] is not None:
         model.fail_at = len(model.batches) + case["fail_after"]
     if case.get("poison") is not None:
-        model.poison = game.masker.masked_batch([case["poison"]])[0]
+        model.poison = vector_game.masker.masked_batch([case["poison"]])[0]
     return game, model, ledger
 
 
-def reference_shapley(game, class_index):
-    before = game.evals_used
-    table = ClassGame(game, class_index).value_batch(
-        np.arange(1 << game.n_atoms, dtype=np.int64))
-    phi = shapley_from_table(table, game.n_atoms)
-    return phi.tobytes(), float(table[0]).hex(), game.evals_used - before
+def reference_shapley(memo: DictMemo, class_index):
+    before, n = memo.evals_used, memo.game.n_atoms
+    table = memo.values(np.arange(1 << n, dtype=np.int64))[class_index]
+    phi = shapley_from_table(table, n)
+    return phi.tobytes(), float(table[0]).hex(), memo.evals_used - before
 
 
 def dense_shapley(game, class_index):
@@ -71,10 +73,10 @@ def dense_shapley(game, class_index):
     return attr.values.tobytes(), attr.base_value.hex(), attr.evals_used
 
 
-def every_class(engine, game):
+def every_class(engine, game, classes):
     """Per-class results, stopping at the first failure, and its type."""
     results = []
-    for c in range(game.model.num_classes):
+    for c in range(classes):
         try:
             results.append(engine(game, c))
         except (BudgetExhausted, ModelOutputError) as exc:
@@ -105,10 +107,10 @@ def cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_dense_table_matches_memo_walk(case):
     with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
-        ref_game, ref_model, ref_ledger = twin(case)
-        ref, ref_error = every_class(reference_shapley, ref_game)
+        ref_game, ref_model, ref_ledger = twin(case, reference=True)
+        ref, ref_error = every_class(reference_shapley, ref_game, case["classes"])
         game, model, ledger = twin(case)
-        got, error = every_class(dense_shapley, game)
+        got, error = every_class(dense_shapley, game, case["classes"])
 
         assert got == ref
         assert error is ref_error
@@ -121,26 +123,20 @@ def test_dense_table_matches_memo_walk(case):
         calls, charged = len(model.batches), ledger.evals_used
         if error is None:
             # The fill added nothing to the memo, and every lookup now reads
-            # the table at no charge.
+            # the table at no charge, one mask at a time or all at once.
             assert len(game.memo) == len(set(case["pre"]))
-            assert game.misses(masks) == []
             for c in range(case["classes"]):
                 expected = ref_game.values(masks)[c].tobytes()
                 assert ClassGame(game, c).value_batch(np.array(masks)).tobytes() == expected
                 assert game.values(masks)[c].tobytes() == expected
             for bits in masks:
-                game.fetch([bits])
-                row = game.row(bits)
-                assert not row.flags.writeable
-                assert row.tobytes() == game.row(bits).tobytes() == ref_game.row(bits).tobytes()
+                assert game.values([bits]).tobytes() == ref_game.values([bits]).tobytes()
         else:
             # Every coalition charged and evaluated before the failure is
             # memoized as the reference memoized it; nothing else is cached.
-            assert game.misses(masks) == ref_game.misses(masks)
-            assert list(game.memo) == list(ref_game.memo)
-            for bits in ref_game.memo:
-                game.fetch([bits])
-                assert game.row(bits).tobytes() == ref_game.row(bits).tobytes()
+            assert_index_matches(game, ref_game)
+            kept = list(ref_game.memo)
+            assert game.values(kept).tobytes() == ref_game.values(kept).tobytes()
         assert len(model.batches) == calls
         assert ledger.evals_used == charged
 
@@ -158,22 +154,6 @@ def test_fill_reads_the_memo_without_charging_it_again():
     for c in (0, 2):
         assert exact_shapley(ClassGame(game, c)).evals_used == 0
     assert ledger.evals_used == 64 and len(game.memo) == 4
-
-
-def miss_first_value_batch(game, class_index, masks):
-    """ClassGame.value_batch before it read the memo first: each chunk's
-    misses are found, charged and evaluated, then its column is read."""
-    masks = np.asarray(masks)
-    out = np.empty(len(masks), dtype=np.float64)
-    for start in range(0, len(masks), oracle._CHUNK):
-        chunk = masks[start : start + oracle._CHUNK].tolist()
-        miss = game.misses(chunk)
-        if miss:
-            if game.ledger is not None:
-                game.ledger.charge(len(miss), game.tag)
-            game.evaluate_misses(miss)
-        out[start : start + len(chunk)] = game.values(chunk)[class_index]
-    return out
 
 
 @st.composite
@@ -194,11 +174,14 @@ def batch_cases(draw):
 def test_value_batch_matches_miss_first_walk(case):
     masks = np.array(case["masks"], dtype=np.int64)
     with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
-        ref_game, ref_model, ref_ledger = twin(case)
+        # The reference finds each chunk's misses in a dict before it reads
+        # the chunk.
+        ref_game, ref_model, ref_ledger = twin(case, reference=True)
         ref, ref_error = every_class(
-            lambda g, c: miss_first_value_batch(g, c, masks).tobytes(), ref_game)
+            lambda g, c: g.values(masks)[c].tobytes(), ref_game, case["classes"])
         game, model, ledger = twin(case)
-        got, error = every_class(lambda g, c: ClassGame(g, c).value_batch(masks).tobytes(), game)
+        got, error = every_class(
+            lambda g, c: ClassGame(g, c).value_batch(masks).tobytes(), game, case["classes"])
 
         assert got == ref
         assert error is ref_error
@@ -206,8 +189,7 @@ def test_value_batch_matches_miss_first_walk(case):
         assert ledger.evals_used == ref_ledger.evals_used
         assert ledger.by_tag == ref_ledger.by_tag
         assert model.batches == ref_model.batches
-        assert list(game.memo.items()) == list(ref_game.memo.items())
-        assert game._table[: game._rows].tobytes() == ref_game._table[: ref_game._rows].tobytes()
+        assert_index_matches(game, ref_game)
 
         if error is None:
             # Every queried coalition is memoized now: reading them again
@@ -264,12 +246,12 @@ def test_split_fill_matches_one_part(case):
     with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
         # n <= 10 never reaches _SPLIT_MIN_SIZE: the reference runs on one part.
         ref_game, ref_model, ref_ledger = twin(case)
-        ref, ref_error = every_class(dense_shapley, ref_game)
+        ref, ref_error = every_class(dense_shapley, ref_game, case["classes"])
         game, model, ledger = twin(case)
         calls, charged = len(model.batches), ledger.evals_used
         before = threading.active_count()
         with split_fill(case["parts"]):
-            got, error = every_class(dense_shapley, game)
+            got, error = every_class(dense_shapley, game, case["classes"])
         assert threading.active_count() == before
 
     assert got == ref
@@ -277,8 +259,10 @@ def test_split_fill_matches_one_part(case):
     # Every row the fill sent was charged, and every charge was sent.
     assert sum(map(batch_rows, model.batches[calls:])) == ledger.evals_used - charged
     # Memoized: the coalitions of the chunks below the first failing one.
-    assert list(game.memo.items()) == list(ref_game.memo.items())
-    assert game._table[: game._rows].tobytes() == ref_game._table[: ref_game._rows].tobytes()
+    assert game.memo.tobytes() == ref_game.memo.tobytes()
+    assert game.memo_rows.tobytes() == ref_game.memo_rows.tobytes()
+    assert (game._table[: len(game.memo)].tobytes()
+            == ref_game._table[: len(ref_game.memo)].tobytes())
     assert game.evals_used == ref_game.evals_used
     if error is ModelOutputError:
         # The fill sent every batch one part sends, up to the failing one,

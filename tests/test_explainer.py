@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import additive_game
+from conftest import ChargeLog, RecordingModel, additive_game
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,8 @@ from owenexplain import (
     make_victim,
     masked_game,
 )
+from owenexplain.explainer import REFINEMENT_ORDERS
+from owenexplain.masking import BoundMasker
 
 ADDITIVE_KIND = "group_symmetric"  # singleton groups give affine outputs
 
@@ -219,6 +222,52 @@ class TestAllClasses:
         full = model.evaluate_one(x)
         for c, attr in enumerate(attrs):
             assert abs(attr.values.sum() - (full[c] - attr.base_value)) <= 1e-9
+
+
+class TestMemoFreeReads:
+    """explain_all_classes reads the root pair, then each expansion's
+    child pair, as one charge of 2 under "explain" and one model batch of
+    2 rows, without a memo: partition-tree nodes are distinct, so no mask
+    is evaluated twice."""
+
+    @pytest.mark.parametrize("budget", [2, 3, 7, 64, None])
+    @pytest.mark.parametrize("order", REFINEMENT_ORDERS)
+    @pytest.mark.parametrize("shape, block", [((1, 1), (1, 1)), ((12, 12), (3, 3)),
+                                              ((32, 32), (2, 2))],
+                             ids=["1x1", "12x12-in-3x3", "32x32-in-2x2"])
+    def test_each_mask_is_evaluated_once(self, shape, block, order, budget):
+        grid = build_atom_grid(shape, block)
+        tree = build_partition_tree(grid)
+        spec = VictimSpec(kind="linear_softmax", seed=5, num_classes=4, input_shape=shape)
+        model = RecordingModel(make_victim(spec))
+        cfg = ExplainConfig(masker=MaskerSpec(grid=grid, fill="blur"), tree=tree,
+                            max_evals=budget, order=order)
+        ledger = ChargeLog()
+        sent = []
+        masked_batch = BoundMasker.masked_batch
+
+        def recording(masker, bits_list):
+            sent.append([int(bits) for bits in bits_list])
+            return masked_batch(masker, bits_list)
+
+        with mock.patch.object(BoundMasker, "masked_batch", recording):
+            attrs = explain_all_classes(make_rng(5).uniform(0, 1, grid.n_cells), model, cfg,
+                                        ledger)
+        masks = [bits for pair in sent for bits in pair]
+        assert len(masks) == len(set(masks))
+        assert sent[0] == [0, (1 << grid.atom_count) - 1]
+        internal = {(tree.nodes[node.left].bits, tree.nodes[node.right].bits)
+                    for node in tree.nodes if not node.is_leaf}
+        assert all(tuple(pair) in internal for pair in sent[1:])
+        assert len(model.batches) == len(sent)
+        assert ledger.charges == [(2, "explain")] * len(sent)
+        assert [a.evals_used for a in attrs] == [ledger.evals_used] * 4
+        if order == "priority_abs":
+            assert ledger.evals_used == explain_cost(budget, tree)
+        else:
+            depth = choose_depth(budget, tree)
+            assert len(sent) - 1 == sum(not node.is_leaf and node.depth < depth
+                                        for node in tree.nodes)
 
 
 class TestBudgetSafetyAndConvergence:

@@ -296,7 +296,7 @@ def test_full_table_is_a_read_only_row_of_the_class_major_table():
     # per-class column copy the coalition-major table gave.
     memo_game = VectorGame(make_victim(spec), x, masker)
     masks = list(range(1 << 7))
-    memo_game.fetch(masks)
+    memo_game.values(masks)
     dense = game.dense_table()
     assert dense.shape == (3, 1 << 7)
     for c in range(3):

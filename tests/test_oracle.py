@@ -1,13 +1,18 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import (
+    ChargeLog,
+    DictMemo,
     RecordingModel,
+    assert_index_matches,
     additive_game,
     permutation_shapley,
     random_table_game,
@@ -33,12 +38,11 @@ from owenexplain import (
     make_victim,
     masked_game,
 )
+from owenexplain import oracle
 from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import (
-    _CHUNK,
     ClassGame,
     VectorGame,
-    _ascending_unions,
     _mask_dtype,
     _unions,
     shapley_weights,
@@ -184,6 +188,17 @@ class TestExactOwen:
         with pytest.raises(ValueError):
             exact_owen(game, [[0, 1]])
 
+    @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
+    def test_rejects_an_empty_group(self, engine):
+        # Without the check, group-uniform divides 0 by 0 and Owen reads
+        # every coalition twice for a dummy group.
+        game = random_table_game(3, 1)
+        with pytest.raises(ValueError, match="groups must not be empty"):
+            engine(game, [[0, 1, 2], []])
+        with pytest.raises(ValueError, match="groups must not be empty"):
+            engine(ClassGame(small_game(), 0), [[], *SMALL_GROUPS])
+        assert game.evals_used == 0
+
 
 class TestGroupUniform:
     def test_singleton_groups_equal_shapley(self):
@@ -274,24 +289,30 @@ class TestMaskedGame:
         game.value_batch([0b1111])
         assert ledger.evals_used == 2
 
-    def test_fetch_charges_once_or_not_at_all(self):
+    def test_read_charges_once_or_not_at_all(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
         ledger = QueryLedger(budget=3)
-        vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
-        # Two distinct misses: over a limit of one, nothing is charged.
+        model = RecordingModel(make_victim(spec))
+        vg = VectorGame(model, make_rng(0).uniform(0, 1, 4), masker, ledger)
+        # Two coalitions: over a limit of one, nothing is charged or sent.
         with pytest.raises(BudgetExhausted):
-            vg.fetch([1, 2, 1], limit=1)
-        assert ledger.evals_used == vg.evals_used == len(vg.memo) == 0
-        vg.fetch([1, 2, 1], limit=2)
+            vg.read([1, 2], limit=1)
+        assert ledger.evals_used == vg.evals_used == len(model.batches) == 0
+        out = vg.read([1, 2], limit=2)
         assert ledger.by_tag == {"explain": 2} and vg.evals_used == 2
-        # Two new misses, one evaluation left on the ledger.
+        assert out.tobytes() == model.victim.evaluate(vg.masker.masked_batch([1, 2])).tobytes()
+        # Two more coalitions, one evaluation left on the ledger.
         with pytest.raises(BudgetExhausted):
-            vg.fetch([1, 4, 8])
-        assert ledger.evals_used == vg.evals_used == len(vg.memo) == 2
-        # Memo hits cost nothing, whatever the limit.
-        vg.fetch([2, 1], limit=0)
-        assert ledger.evals_used == vg.evals_used == 2
+            vg.read([4, 8])
+        assert ledger.evals_used == vg.evals_used == 2 and len(model.batches) == 1
+        # A read memoizes nothing: values charges its coalitions again, and
+        # its memo hits then cost nothing.
+        assert len(vg.memo) == 0
+        vg.values([2])
+        assert ledger.evals_used == vg.evals_used == 3
+        vg.values([2, 2])
+        assert ledger.evals_used == vg.evals_used == 3 and len(model.batches) == 2
 
     def test_vector_game_serves_all_classes(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=4, input_shape=(4,))
@@ -299,8 +320,7 @@ class TestMaskedGame:
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
         ledger = QueryLedger()
         vg = VectorGame(model, make_rng(0).uniform(0, 1, 4), masker, ledger)
-        vg.fetch([0b1100])
-        vec = vg.row(0b1100)
+        vec = vg.values([0b1100])[:, 0]
         assert vec.shape == (4,)
         assert ledger.evals_used == 1
 
@@ -320,8 +340,9 @@ class TestMaskedGame:
         ledger = QueryLedger()
         vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
         ClassGame(vg, 0).value_batch(np.array([0, 5, 5, 3, 0, 15]))
-        vg.fetch([3])
+        vg.values([3])
         assert len(vg.memo) == 4
+        assert vg.memo.tolist() == [0, 3, 5, 15] and vg.memo_rows.tolist() == [0, 2, 1, 3]
         assert vg.evals_used == ledger.evals_used == 4
 
     def test_memo_growth_keeps_earlier_rows_intact_and_read_only(self):
@@ -329,61 +350,38 @@ class TestMaskedGame:
         model = make_victim(spec)
         masker = MaskerSpec(grid=build_atom_grid((8,), (1,)), fill="mean")
         vg = VectorGame(model, make_rng(1).uniform(0, 1, 8), masker)
-        vg.fetch([0b1010_0101])
-        early = vg.row(0b1010_0101)
+        early = vg.values([0b1010_0101])
         kept = early.copy()
         # 256 coalitions, past the memo's first capacity
         values = ClassGame(vg, 2).value_batch(np.arange(256))
         assert len(vg.memo) == vg.evals_used == 256
-        assert np.array_equal(early, kept)
-        assert np.array_equal(vg.row(0b1010_0101), kept)
-        for row in (early, vg.row(0b1010_0101), vg.row(255)):
-            assert not row.flags.writeable
-            with pytest.raises(ValueError):
-                row[0] = 0.0
+        assert np.array_equal(vg.values([0b1010_0101]), kept)
+        # Outputs are copies: writing to one leaves the memo as it was.
+        early[:] = 0.0
+        values_again = vg.values(np.arange(256))
+        assert np.array_equal(values_again[:, 0b1010_0101], kept[:, 0])
         expected = model.evaluate(vg.masker.masked_batch(list(range(256))))
-        assert np.allclose(np.stack([vg.row(b) for b in range(256)]), expected, rtol=0, atol=1e-12)
-        assert np.array_equal(values, [vg.row(b)[2] for b in range(256)])
-
-
-class ChargeLog(QueryLedger):
-    """A ledger that also lists its charges, in order."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.charges: list[tuple[int, str]] = []
-
-    def try_charge(self, n: int, tag: str) -> bool:
-        charged = super().try_charge(n, tag)
-        if charged:
-            self.charges.append((n, tag))
-        return charged
+        assert np.allclose(values_again.T, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(values, values_again[2])
 
 
 class OneClassGame:
     """ClassGame as the engines read it one class at a time: it has only
     value_batch, so exact_owen and group_uniform_shapley take their
-    one-class path. Each chunk's misses are fetched, then the class's
-    column is read from the memo."""
+    one-class path. Masks are read through a dict memo (DictMemo), so this
+    is also the reference for the sorted mask index."""
 
-    def __init__(self, vector_game: VectorGame, class_index: int):
-        self.vector_game = vector_game
+    def __init__(self, memo: DictMemo, class_index: int):
+        self.memo = memo
         self.class_index = class_index
-        self.n_atoms = vector_game.n_atoms
+        self.n_atoms = memo.game.n_atoms
 
     @property
     def evals_used(self) -> int:
-        return self.vector_game.evals_used
+        return self.memo.evals_used
 
     def value_batch(self, masks) -> np.ndarray:
-        game, masks = self.vector_game, np.asarray(masks)
-        out = np.empty(len(masks), dtype=np.float64)
-        for start in range(0, len(masks), _CHUNK):
-            chunk = masks[start : start + _CHUNK].tolist()
-            game.fetch(chunk)
-            out[start : start + len(chunk)] = game._table[[game.memo[b] for b in chunk],
-                                                          self.class_index]
-        return out
+        return self.memo.values(masks)[self.class_index]
 
 
 def loop_owen(game, groups):
@@ -398,7 +396,7 @@ def loop_owen(game, groups):
         contexts, q_sizes = _unions([group_bits[h] for h in range(m) if h != gi], dtype)
         subsets, s_sizes = _unions([1 << atom for atom in members], dtype)
         masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
-        order = _ascending_unions(contexts, subsets, n)
+        order = np.argsort(masks)
         values = np.empty(masks.size)
         values[order] = game.value_batch(masks[order])
         values = values.reshape(len(contexts), len(subsets))
@@ -468,7 +466,8 @@ class TestClassMajor:
     def test_every_class_matches_the_one_class_path(self, n, ledger, engine):
         groups = CLASS_MAJOR_CASES[n][1]
         ref_game, ref_model = class_major_game(n, ChargeLog() if ledger else None)
-        ref = [LOOP_REFERENCE[engine](OneClassGame(ref_game, c), groups) for c in range(4)]
+        ref_memo = DictMemo(ref_game)
+        ref = [LOOP_REFERENCE[engine](OneClassGame(ref_memo, c), groups) for c in range(4)]
         game, model = class_major_game(n, ChargeLog() if ledger else None)
         got = [engine(ClassGame(game, c), groups) for c in range(4)]
         for c, (attr, (values, base, _)) in enumerate(zip(got, ref)):
@@ -476,9 +475,10 @@ class TestClassMajor:
             assert attr.base_value.hex() == base.hex()
             assert attr.class_index == c
         # The one-class path of the same engine gives the same bits.
-        one_class = engine(OneClassGame(ref_game, 3), groups)
+        one_class = engine(OneClassGame(ref_memo, 3), groups)
         assert one_class.values.tobytes() == got[3].values.tobytes()
         assert len(game.memo) > 0
+        assert_index_matches(game, ref_memo)
         assert [a.evals_used for a in got] == [r[2] for r in ref] == [len(game.memo), 0, 0, 0]
         assert Counter(model.batches) == Counter(ref_model.batches)
         if ledger:
@@ -523,6 +523,98 @@ class TestClassMajor:
         assert got.values.tobytes() == expected.values.tobytes()
         assert got.evals_used == expected.evals_used - charged
         assert ledger.evals_used == expected.evals_used
+
+
+def index_twins(n: int, budget: int | None = None):
+    """Two twin n-atom games, each with a RecordingModel and a ChargeLog:
+    (game, model) and (DictMemo reference, its model)."""
+    games = []
+    for _ in range(2):
+        spec = VictimSpec(kind="linear_softmax", seed=n, num_classes=3, input_shape=(n,),
+                          weight_scale=3.0)
+        model = RecordingModel(make_victim(spec))
+        masker = MaskerSpec(grid=build_atom_grid((n,), (1,)), fill="blur")
+        x = make_rng(n).uniform(0.0, 1.0, n)
+        games.append((VectorGame(model, x, masker, ChargeLog(budget=budget), tag="oracle"),
+                      model))
+    (game, model), (ref_game, ref_model) = games
+    return game, model, DictMemo(ref_game), ref_model
+
+
+def random_masks(n: int, pool: int, draws: int, seed: int) -> list[int]:
+    """draws masks of n atoms, drawn with repeats from pool distinct ones."""
+    rand = random.Random(seed)
+    distinct = [rand.getrandbits(n) for _ in range(pool)]
+    return [rand.choice(distinct) for _ in range(draws)]
+
+
+# name -> (atoms, chunk, reads): each read is a list of masks, read in turn
+# by one game, so later reads start from a populated memo.
+INDEX_CASES = {
+    "repeats-within-and-across-chunks": (6, 4, [[5, 5, 3, 5, 9, 3, 3, 12, 9, 0, 5, 12, 63]]),
+    "populated-before-the-read": (6, 4, [[7, 1, 40], [40, 2, 7, 7, 2, 1, 33, 0, 2]]),
+    "all-hit-chunks": (6, 3, [[4, 8, 16], [16, 8, 4, 4, 4, 8]]),
+    "int64-masks": (48, oracle._CHUNK, [random_masks(48, 3000, 500, 1),
+                                        random_masks(48, 3000, 9000, 1)]),
+    "object-masks": (72, oracle._CHUNK, [random_masks(72, 3000, 500, 2),
+                                         random_masks(72, 3000, 9000, 2)]),
+}
+
+
+class TestSortedIndex:
+    """VectorGame.values through its sorted mask index against the dict
+    memo it replaced (DictMemo): the same outputs, charges, model batches
+    and evaluation counts, read after read."""
+
+    @pytest.mark.parametrize("name", sorted(INDEX_CASES))
+    def test_reads_match_the_dict_memo(self, name):
+        n, chunk, reads = INDEX_CASES[name]
+        dtype = _mask_dtype(n)
+        with mock.patch.object(oracle, "_CHUNK", chunk):
+            game, model, ref, ref_model = index_twins(n)
+            assert game.memo.dtype == dtype
+            for masks in reads:
+                got = game.values(np.array(masks, dtype=dtype))
+                assert got.tobytes() == ref.values(np.array(masks, dtype=dtype)).tobytes()
+                assert game.ledger.charges == ref.game.ledger.charges
+                assert model.batches == ref_model.batches
+                assert game.evals_used == ref.evals_used == game.ledger.evals_used
+                assert_index_matches(game, ref)
+            assert game.memo.dtype == dtype
+            # Every mask is memoized now: reading them all again is free.
+            calls = len(model.batches)
+            again = game.values(np.array(reads[-1], dtype=dtype))
+            assert again.tobytes() == got.tobytes()
+            assert len(model.batches) == calls and game.evals_used == ref.evals_used
+
+    @pytest.mark.parametrize("failing_chunk", [0, 1, 2, 3])
+    def test_budget_exhausted_keeps_the_chunks_before_it(self, failing_chunk):
+        masks = [3, 5, 3, 9, 5, 17, 33, 9, 0, 3, 12, 48, 63, 62, 0, 1, 2, 2]
+        with mock.patch.object(oracle, "_CHUNK", 4):
+            # Chunks 0-3 of 4 masks each have at least two distinct misses,
+            # so one evaluation of room refuses the failing one.
+            before = len(set(masks[: 4 * failing_chunk]))
+            game, model, ref, ref_model = index_twins(6, before + 1)
+            for reader in (game.values, ref.values):
+                with pytest.raises(BudgetExhausted):
+                    reader(masks)
+            assert set(game.memo.tolist()) == set(masks[: 4 * failing_chunk])
+            assert game.evals_used == game.ledger.evals_used == before
+            assert game.ledger.charges == ref.game.ledger.charges
+            assert model.batches == ref_model.batches
+            assert_index_matches(game, ref)
+            # A retry charges only the chunks from the failing one on.
+            game.ledger.budget = ref.game.ledger.budget = None
+            charges = len(game.ledger.charges)
+            got = game.values(masks)
+            assert got.tobytes() == ref.values(masks).tobytes()
+            assert game.ledger.charges == ref.game.ledger.charges
+            assert len(game.ledger.charges) - charges == 5 - failing_chunk
+            assert game.ledger.evals_used == len(set(masks))
+            assert model.batches == ref_model.batches
+            assert game.evals_used == ref.evals_used == len(set(masks))
+            assert_index_matches(game, ref)
+            assert index_twins(6)[0].values(masks).tobytes() == got.tobytes()
 
 
 class BrokenModel(Model):

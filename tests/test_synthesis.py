@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import ChargeLog, RecordingModel
+
 from owenexplain import (
     ExplainConfig,
     MaskerSpec,
@@ -14,18 +16,21 @@ from owenexplain import (
     VictimSpec,
     WrappedModel,
     build_atom_grid,
+    build_partition_tree,
     class_objective,
     explain,
+    explain_cost,
     make_rng,
     make_victim,
     parse_schedule,
     schedule_lookup,
     synthesize,
 )
-from owenexplain import extraction, synthesis
+from owenexplain import extraction, oracle, synthesis
 from owenexplain.blackbox import VICTIM_KINDS
 from owenexplain.core import derive_seed
 from owenexplain.extraction import ExtractionConfig, ProbeConfig, TrainConfig, run_extraction
+from owenexplain.masking import BoundMasker
 from owenexplain.objectives import ObjectiveWeights
 from owenexplain.synthesis import DEFAULT_SCHEDULE_TEXT, SearchParams, SynthConfig
 
@@ -277,6 +282,24 @@ class TestRootPairObjective:
             assert close(row.objective, ref_row.objective)
             assert close(row.class_obj_term, ref_row.class_obj_term)
             assert row.disagreement_term == ref_row.disagreement_term
+
+
+@pytest.mark.parametrize("max_evals", [2, 3, 7, 64])
+def test_class_term_reads_the_root_pair_once_without_the_memo(max_evals):
+    victim = RecordingModel(quadrant_victim())
+    masker = synth_cfg(1, 0).masker
+    tree = build_partition_tree(masker.grid)
+    x = make_rng(4).uniform(0.0, 1.0, 144)
+    ledger = ChargeLog()
+    with mock.patch.object(oracle.VectorGame, "evaluate_misses") as memoized:
+        term = synthesis._class_term(x, victim, masker, tree, max_evals, 1, ledger)
+    memoized.assert_not_called()
+    rows = BoundMasker(x, masker).masked_batch([0, (1 << 16) - 1])
+    assert victim.batches == [repr(rows.shape).encode() + rows.tobytes()]
+    out = victim.victim.evaluate(rows)
+    assert term == float(out[1, 1] - out[0, 1])
+    cost = explain_cost(max_evals, tree)
+    assert ledger.charges == [(2, "explain")] + ([(cost - 2, "explain")] if cost > 2 else [])
 
 
 class RecordingLedger(QueryLedger):
