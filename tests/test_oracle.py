@@ -12,8 +12,8 @@ from conftest import (
     ChargeLog,
     DictMemo,
     RecordingModel,
-    assert_index_matches,
     additive_game,
+    assert_index_matches,
     permutation_shapley,
     random_table_game,
     unanimity_game,
@@ -37,8 +37,8 @@ from owenexplain import (
     make_rng,
     make_victim,
     masked_game,
+    oracle,
 )
-from owenexplain import oracle
 from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import (
     ClassGame,
@@ -542,7 +542,8 @@ def index_twins(n: int, budget: int | None = None):
 
 
 def random_masks(n: int, pool: int, draws: int, seed: int) -> list[int]:
-    """draws masks of n atoms, drawn with repeats from pool distinct ones."""
+    """draws masks of n atoms, each one of pool random masks, so most
+    masks repeat."""
     rand = random.Random(seed)
     distinct = [rand.getrandbits(n) for _ in range(pool)]
     return [rand.choice(distinct) for _ in range(draws)]
