@@ -5,13 +5,15 @@ over a large table between CPUs.
 The blur accumulates its taps in ascending-offset order. The Shapley
 kernel is one O(2**n) fold on the caller's thread: it weights the
 centred table once by coalition size into a holding and a lacking table,
-then takes the bits from the top, reading each atom's value off the two
-tables' halves and adding each table's upper half onto its lower. Its
-reductions are numpy's own pairwise sums, so its bits do not depend on
-BLAS or its thread count. run_in_parts splits a job over a table of at
-least _SPLIT_MIN_SIZE entries into up to _MAX_PARTS parts, one per CPU
-the process may run on, the caller's thread running one part and a
-thread of its own each other. Only the exact-Shapley dense fill
+one row of the half-table at a time with every step of the top bit done
+while the row is in cache, then takes the bits from the top, reading
+each atom's value off the two tables' halves and adding each table's
+upper half onto its lower. Each reduction is numpy's own pairwise sum
+over a whole 1-D buffer, so its bits do not depend on BLAS or its thread
+count. run_in_parts splits a job over a table of at least
+_SPLIT_MIN_SIZE entries into up to _MAX_PARTS parts, one per CPU the
+process may run on, the caller's thread running one part and a thread of
+its own each other. Only the exact-Shapley dense fill
 (oracle.VectorGame.dense_table) uses it, for its model batches, so the
 model is called from two threads at once.
 """
@@ -150,14 +152,13 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     # half of each table is added onto the lower, which sums both over bit
     # i for the bits below. A dead atom i has H(m + 2**i) == L(m) in every
     # bit, and both get the same adds, so its value is exactly 0.0.
-    half = size >> 1
-    lo, hi = values[:half], values[half:]
     # Weights by size, shifted by one: padded[s + 1] = w(s), and 0 for the
     # empty holding coalition and the full lacking one.
     padded = np.concatenate(([0.0], shapley_weights(n), [0.0]))
-    # The halves are weighted in place row by row: a row of the
+    # The halves are weighted row by row: a row of the
     # (2**row_bits, 2**col_bits) view whose index has p set bits takes the
-    # weights rows[p + shift], so no weight array spans the table. A third
+    # weights rows[p + shift], so no weight array spans the table, and each
+    # row goes through every step of bit n-1 while it is in cache. A third
     # of the bits as row bits keeps both the row loop and the weight rows
     # short: at n = 20 it was the fastest split, about 2x faster than one
     # weight row over the whole half.
@@ -165,27 +166,26 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     col_bits = n - 1 - row_bits
     counts = popcounts(col_bits)
     rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
-    row_counts = popcounts(row_bits)
-
-    def weigh(src: np.ndarray, shift: int, out: np.ndarray) -> None:
-        src2, out2 = src.reshape(-1, 1 << col_bits), out.reshape(-1, 1 << col_bits)
-        for r, p in enumerate(row_counts):
-            np.multiply(src2[r], rows[p + shift], out=out2[r])
-
+    lo, hi = values.reshape(2, 1 << row_bits, 1 << col_bits)
+    held, lacked, spare = (np.empty_like(lo) for _ in range(3))
+    scratch = np.empty(1 << col_bits)
     # Bit n-1 on the two halves: the lower half's mask m has as many
     # members as its row and column bits, the upper half's m + 2**(n-1)
-    # one more.
-    held = np.empty(half)
-    lacked = np.subtract(hi, values[0])
-    weigh(lacked, 1, held)  # H(m + 2**(n-1))
-    weigh(lacked, 2, lacked)  # L(m + 2**(n-1))
-    spare = np.subtract(lo, values[0])
-    weigh(spare, 1, spare)  # L(m)
-    lacked += spare
-    phi[n - 1] = np.subtract(held, spare, out=spare).sum()
-    np.subtract(lo, values[0], out=spare)  # c(m) again, so no fourth buffer
-    weigh(spare, 0, spare)  # H(m)
-    held += spare
+    # one more. spare ends as H(m + 2**(n-1)) - L(m), summed whole.
+    for r, p in enumerate(popcounts(row_bits)):
+        h, l, s = held[r], lacked[r], spare[r]
+        np.subtract(hi[r], values[0], out=l)
+        np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
+        l *= rows[p + 2]  # L(m + 2**(n-1))
+        np.subtract(lo[r], values[0], out=s)
+        s *= rows[p + 1]  # L(m)
+        l += s
+        np.subtract(h, s, out=s)
+        np.subtract(lo[r], values[0], out=scratch)
+        scratch *= rows[p]  # H(m)
+        h += scratch
+    held, lacked, spare = held.reshape(-1), lacked.reshape(-1), spare.reshape(-1)
+    phi[n - 1] = spare.sum()
     for i in range(n - 2, -1, -1):
         step = 1 << i
         phi[i] = np.subtract(held[step : 2 * step], lacked[:step], out=spare[:step]).sum()

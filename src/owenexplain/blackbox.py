@@ -28,7 +28,9 @@ class Model:
 
     evaluate may be called from two threads at once: the exact-Shapley
     dense fill of a table of 2**17 coalitions or more sends its batches
-    from two threads (oracle.VectorGame.dense_table)."""
+    from two threads (oracle.VectorGame.dense_table). It must not write
+    into its batch or read it after returning: the fill rewrites one
+    buffer for each thread's next batch."""
 
     num_classes: int
     input_shape: tuple[int, ...]

@@ -6,6 +6,13 @@ from the original input (Gaussian blur of the whole tensor, a fixed
 baseline tensor, or the scalar mean). Computing the reference from the
 original input, never from partially masked tensors, is what makes
 coalition-keyed memoization sound.
+
+The exact-Shapley dense fill masks every coalition in aligned chunks of
+2**k masks, which share every bit from k up, so one chunk's batch differs
+from another's only in the cells of atoms k and up, and there only where
+the two chunks' bits differ. BoundMasker.chunk_batch masks a buffer's
+first chunk in full, as masked_batch does, and rewrites only those cells
+for each later chunk, with the same bytes.
 """
 
 from __future__ import annotations
@@ -100,3 +107,20 @@ class BoundMasker:
         return _kernels.apply_masks(
             self.x, self.fill, self.grid.cell_atom, self.active_rows(bits_list)
         )
+
+    def chunk_batch(self, start: int, rows: int, out: np.ndarray | None = None,
+                    held: int = 0) -> np.ndarray:
+        """masked_batch(range(start, start + rows)), for rows a power of two
+        and start a multiple of it.
+
+        Given out, the batch this method returned for the chunk at held (of
+        the same rows), out is rewritten in place and returned: only the
+        cells of atoms whose bit differs between start and held change.
+        Without out the batch is a new masked_batch.
+        """
+        if out is None:
+            return self.masked_batch(range(start, start + rows))
+        now, changed = self.active_rows([start, start ^ held]).astype(bool)
+        cells = np.flatnonzero(changed[self.grid.cell_atom])
+        out[:, cells] = np.where(now[self.grid.cell_atom[cells]], self.x[cells], self.fill[cells])
+        return out

@@ -168,7 +168,12 @@ class VectorGame:
         evaluated as one batch, the batches the memo path would send. None
         is added to the memo. The chunks are split over the parts of
         _kernels.run_in_parts, so a table of _kernels._SPLIT_MIN_SIZE
-        entries or more calls the model from two threads at once. Parts
+        entries or more calls the model from two threads at once. While
+        _CHUNK is a power of two, each part masks its chunks with no
+        memoized coalition into one buffer of its own through
+        BoundMasker.chunk_batch, which rewrites only the cells of atoms
+        whose bit changed since the part's last such chunk; the buffer's
+        outputs are copied into the table before it is rewritten. Parts
         take chunks in ascending order and charge each under one lock
         before it reaches the model; once a charge or an evaluation has
         failed, no part takes another chunk. Chunks that other parts took
@@ -187,6 +192,8 @@ class VectorGame:
         known[self.memo] = True
         table[:, self.memo] = self._table[self.memo_rows].T
         chunks = -(-size // _CHUNK)
+        # Powers of two divide size, so every chunk is aligned to its length.
+        aligned = _CHUNK & (_CHUNK - 1) == 0
         lock = threading.Lock()
         next_chunk = 0
         failed: dict[int, BaseException] = {}
@@ -194,6 +201,7 @@ class VectorGame:
         def run(_part: int, _parts: int) -> None:
             nonlocal next_chunk
             chunk = next_chunk
+            batch, held = None, 0  # this part's buffer and the chunk it holds
             # The lock is held except while a chunk is evaluated, so a failed
             # charge is recorded before another part can take a chunk.
             with lock:
@@ -207,12 +215,12 @@ class VectorGame:
                             self.ledger.charge(miss.size, self.tag)
                         lock.release()
                         try:
-                            if miss.size:
-                                outputs = self.evaluate_misses(miss, memoize=False)
-                                if miss.size == stop - start:
-                                    table[:, start:stop] = outputs.T
-                                else:
-                                    table[:, miss] = outputs.T
+                            if aligned and miss.size == stop - start:
+                                batch = self.masker.chunk_batch(start, miss.size, batch, held)
+                                held = start
+                                table[:, start:stop] = checked_outputs(self.model, batch).T
+                            elif miss.size:
+                                table[:, miss] = self.evaluate_misses(miss, memoize=False).T
                         finally:
                             lock.acquire()
                 except BaseException as exc:

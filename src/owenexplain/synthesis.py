@@ -23,9 +23,8 @@ from .blackbox import Model, checked_outputs
 from .core import BudgetExhausted, PartitionTree, QueryLedger, derive_seed, make_rng
 from .explainer import explain  # noqa: F401  perfbench/tracing.py patches synthesis.explain
 from .explainer import explain_cost
-from .masking import MaskerSpec
+from .masking import MaskerSpec, fill_reference
 from .objectives import ObjectiveWeights, disagreement, saturated
-from .oracle import VectorGame
 
 SHAP_OFF = "shap_off"
 AFTER_END_POLICIES = ("freeze_shap", "hold_last")
@@ -154,8 +153,13 @@ def _class_term(
     BudgetExhausted, charging nothing, if the root pair does not fit.
     """
     cost = explain_cost(max_evals, tree, ledger)
-    game = VectorGame(victim, x, masker, ledger, tag="explain")
-    v_empty, v_full = game.read([0, game.full_bits])
+    # Coalitions 0 and full mask to the fill reference and x itself. The
+    # pair is column-major, as BoundMasker.masked_batch lays out its batches:
+    # a model's matmul can round differently on the other layout.
+    pair = np.array([fill_reference(x, masker), x], order="F")
+    if ledger is not None:
+        ledger.charge(2, "explain")
+    v_empty, v_full = checked_outputs(victim, pair)
     if ledger is not None and cost > 2:
         ledger.charge(cost - 2, "explain")
     return float(v_full[target] - v_empty[target])

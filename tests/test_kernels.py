@@ -35,6 +35,43 @@ def folded_shapley(table, n):
     return phi
 
 
+def whole_half_shapley(table, n):
+    """The kernel before its row blocking: each weighting step run over a
+    whole half before the next, then the same fold."""
+    half = 1 << (n - 1)
+    phi = np.empty(n)
+    lo, hi = table[:half], table[half:]
+    padded = np.concatenate(([0.0], _kernels.shapley_weights(n), [0.0]))
+    row_bits = (n - 1) // 3
+    col_bits = n - 1 - row_bits
+    counts = _kernels.popcounts(col_bits)
+    rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
+    row_counts = _kernels.popcounts(row_bits)
+
+    def weigh(src, shift, out):
+        src2, out2 = src.reshape(-1, 1 << col_bits), out.reshape(-1, 1 << col_bits)
+        for r, p in enumerate(row_counts):
+            np.multiply(src2[r], rows[p + shift], out=out2[r])
+
+    held = np.empty(half)
+    lacked = np.subtract(hi, table[0])
+    weigh(lacked, 1, held)
+    weigh(lacked, 2, lacked)
+    spare = np.subtract(lo, table[0])
+    weigh(spare, 1, spare)
+    lacked += spare
+    phi[n - 1] = np.subtract(held, spare, out=spare).sum()
+    np.subtract(lo, table[0], out=spare)
+    weigh(spare, 0, spare)
+    held += spare
+    for i in range(n - 2, -1, -1):
+        step = 1 << i
+        phi[i] = np.subtract(held[step : 2 * step], lacked[:step], out=spare[:step]).sum()
+        held[:step] += held[step : 2 * step]
+        lacked[:step] += lacked[step : 2 * step]
+    return phi
+
+
 def dot_shapley(table, n):
     """The dot formula: per atom, the gains of adding it to each mask that
     lacks it, dotted with the masks' size weights."""
@@ -100,6 +137,13 @@ class TestPureKernels:
                 table = scale * r.uniform(-1, 1, 1 << n)
                 expected = folded_shapley(table, n)
                 assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
+
+    def test_shapley_table_bitwise_equal_to_whole_half_weighting(self):
+        r = rng()
+        for n in range(1, 21):
+            table = r.uniform(-1, 1, 1 << n)
+            expected = whole_half_shapley(table, n)
+            assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
 
     def test_shapley_table_close_to_dot_formula(self):
         r = rng()

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owenexplain import MaskerSpec, blur_reference, build_atom_grid, make_rng
+from conftest import DictMemo
+
+from owenexplain import (
+    MaskerSpec, Model, _kernels, blur_reference, build_atom_grid, make_rng, oracle)
 from owenexplain.masking import BoundMasker, fill_reference
+from owenexplain.oracle import VectorGame
 
 
 def grid_2x2():
@@ -164,3 +170,84 @@ class TestBlur:
         assert np.array_equal(
             fill_reference(x, MaskerSpec(grid=grid, fill="baseline", baseline=base)), base
         )
+
+
+def chunk_masker(shape, block, seed=0):
+    grid = build_atom_grid(shape, block)
+    x = make_rng(seed).uniform(0, 1, grid.n_cells)
+    return BoundMasker(x, MaskerSpec(grid=grid, fill="blur"))
+
+
+def assert_same_batch(got, expected):
+    # The layout too: a model's matmul can round differently on another one.
+    assert got.tobytes() == expected.tobytes()
+    assert got.strides == expected.strides
+
+
+class TestChunkBatch:
+    """chunk_batch against masked_batch of the same aligned chunk, on a
+    fresh buffer and on one rewritten from earlier chunks."""
+
+    @pytest.mark.parametrize("shape, block, rows", [
+        ((3, 4), (1, 1), 4096),  # n = 12: one chunk
+        ((13,), (1,), 4096),  # n = 13: two chunks
+        ((4, 5), (1, 1), 4096),  # n = 20: the fill's 256 chunks
+        ((12, 12), (3, 3), 4096),  # 16 block atoms of 9 cells
+        ((2, 3), (1, 1), 64),  # n < 12: the whole table
+        ((7,), (2,), 16),  # n = 4 with a short edge block
+        ((5,), (1,), 1),  # one mask a chunk
+    ])
+    def test_ascending_chunks_match_masked_batch(self, shape, block, rows):
+        bound = chunk_masker(shape, block)
+        size = 1 << bound.grid.atom_count
+        batch, held = None, 0
+        for start in range(0, size, rows):
+            expected = bound.masked_batch(range(start, start + rows))
+            batch = bound.chunk_batch(start, rows, batch, held)
+            held = start
+            assert_same_batch(batch, expected)
+
+    @pytest.mark.parametrize("shape, block, rows, seed", [
+        ((4, 5), (1, 1), 4096, 1),
+        ((12, 12), (3, 3), 1024, 2),
+        ((9,), (1,), 8, 3),
+    ])
+    def test_buffer_from_any_earlier_chunk(self, shape, block, rows, seed):
+        # A part of the dense fill takes chunks out of step with the other
+        # part, so its buffer may hold any earlier chunk.
+        bound = chunk_masker(shape, block, seed)
+        chunks = (1 << bound.grid.atom_count) // rows
+        order = make_rng(seed).permutation(chunks)[:40]
+        batch, held = None, 0
+        for chunk in order.tolist():
+            start = chunk * rows
+            batch = bound.chunk_batch(start, rows, batch, held)
+            held = start
+            assert_same_batch(batch, bound.masked_batch(range(start, start + rows)))
+
+
+class ViewModel(Model):
+    """Returns a view of its input batch: its last num_classes columns, the
+    cells of the atoms whose bits tell the dense fill's chunks apart."""
+
+    num_classes = 3
+
+    def __init__(self, n):
+        self.input_shape = (n,)
+
+    def evaluate(self, batch):
+        return batch[:, -self.num_classes :]
+
+
+def test_fill_copies_outputs_before_rewriting_the_buffer():
+    n = 10
+    spec = MaskerSpec(grid=build_atom_grid((n,), (1,)), fill="mean")
+    x = make_rng(6).uniform(0, 1, n)
+    expected = DictMemo(VectorGame(ViewModel(n), x, spec)).values(np.arange(1 << n))
+    game = VectorGame(ViewModel(n), x, spec)
+    # Sixteen chunks over two parts, so each part rewrites its buffer.
+    with mock.patch.object(oracle, "_CHUNK", 64), \
+            mock.patch.object(_kernels, "_SPLIT_MIN_SIZE", 1), \
+            mock.patch.object(_kernels, "_cpu_count", lambda: 2):
+        table = game.dense_table()
+    assert table.tobytes() == expected.tobytes()
