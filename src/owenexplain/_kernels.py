@@ -134,13 +134,17 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a dense 2**n game-value table.
 
     values[mask] is the game value of the coalition whose members are the
-    set bits of mask.
+    set bits of mask. A (classes, 2**n) array of tables gives (classes, n)
+    values: the tables are taken one at a time through the same buffers,
+    so each gets the bits it gets alone, and the buffers are allocated
+    once (at 20 atoms, touching fresh ones cost about as much as weighting
+    a table into them).
     """
     size = 1 << n
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (size,):
+    if values.ndim not in (1, 2) or values.shape[-1] != size:
         raise ValueError("value table must have length 2**n")
-    phi = np.empty(n, dtype=np.float64)
+    phi = np.empty(values.shape[:-1] + (n,), dtype=np.float64)
     if n == 0:
         return phi
     # With c = values - values[0] and w(s) = s!(n-s-1)!/n!, atom i gets
@@ -166,29 +170,32 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     col_bits = n - 1 - row_bits
     counts = popcounts(col_bits)
     rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
-    lo, hi = values.reshape(2, 1 << row_bits, 1 << col_bits)
-    held, lacked, spare = (np.empty_like(lo) for _ in range(3))
+    row_counts = popcounts(row_bits)
+    held, lacked, spare = (np.empty((1 << row_bits, 1 << col_bits)) for _ in range(3))
     scratch = np.empty(1 << col_bits)
-    # Bit n-1 on the two halves: the lower half's mask m has as many
-    # members as its row and column bits, the upper half's m + 2**(n-1)
-    # one more. spare ends as H(m + 2**(n-1)) - L(m), summed whole.
-    for r, p in enumerate(popcounts(row_bits)):
-        h, l, s = held[r], lacked[r], spare[r]
-        np.subtract(hi[r], values[0], out=l)
-        np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
-        l *= rows[p + 2]  # L(m + 2**(n-1))
-        np.subtract(lo[r], values[0], out=s)
-        s *= rows[p + 1]  # L(m)
-        l += s
-        np.subtract(h, s, out=s)
-        np.subtract(lo[r], values[0], out=scratch)
-        scratch *= rows[p]  # H(m)
-        h += scratch
-    held, lacked, spare = held.reshape(-1), lacked.reshape(-1), spare.reshape(-1)
-    phi[n - 1] = spare.sum()
-    for i in range(n - 2, -1, -1):
-        step = 1 << i
-        phi[i] = np.subtract(held[step : 2 * step], lacked[:step], out=spare[:step]).sum()
-        held[:step] += held[step : 2 * step]
-        lacked[:step] += lacked[step : 2 * step]
+    for table, out in zip(values.reshape(-1, size), phi.reshape(-1, n)):
+        lo, hi = table.reshape(2, 1 << row_bits, 1 << col_bits)
+        # Bit n-1 on the two halves: the lower half's mask m has as many
+        # members as its row and column bits, the upper half's
+        # m + 2**(n-1) one more. spare ends as H(m + 2**(n-1)) - L(m),
+        # summed whole.
+        for r, p in enumerate(row_counts):
+            h, l, s = held[r], lacked[r], spare[r]
+            np.subtract(hi[r], table[0], out=l)
+            np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
+            l *= rows[p + 2]  # L(m + 2**(n-1))
+            np.subtract(lo[r], table[0], out=s)
+            s *= rows[p + 1]  # L(m)
+            l += s
+            np.subtract(h, s, out=s)
+            np.subtract(lo[r], table[0], out=scratch)
+            scratch *= rows[p]  # H(m)
+            h += scratch
+        h, l, s = held.reshape(-1), lacked.reshape(-1), spare.reshape(-1)
+        out[n - 1] = s.sum()
+        for i in range(n - 2, -1, -1):
+            step = 1 << i
+            out[i] = np.subtract(h[step : 2 * step], l[:step], out=s[:step]).sum()
+            h[:step] += h[step : 2 * step]
+            l[:step] += l[step : 2 * step]
     return phi

@@ -16,13 +16,15 @@ class-major dense table, filled once for every class, while value_batch
 looks each chunk of masks up in the memo's sorted mask index and
 evaluates only the misses.
 
-A ClassGame is read class-major instead: exact_owen and
+A ClassGame is read class-major instead: exact_shapley reads every
+class of its VectorGame's dense table, and exact_owen and
 group_uniform_shapley read every class at once through its VectorGame's
-``values(masks)``, compute every class's attribution in one pass, and
-keep the rows on that VectorGame under the checked partition. A later
-call for any class of the same game and partition returns a copy of its
-row, charges nothing and reports evals_used 0. Any other game is the
-one-class case of the same arithmetic.
+``values(masks)``. Each computes every class's attribution in one pass
+and keeps the rows on that VectorGame, under the checked partition for
+the Owen engines. A later call for any class of the same game (and
+partition) returns a copy of its row, charges nothing and reports
+evals_used 0. Any other game is the one-class case of the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ class VectorGame:
         self._dense: np.ndarray | None = None
         self._dense_evals = 0
         self._read_evals = 0
-        # (engine, partition) -> (per-class values, per-class base values)
-        # of the class-major Owen engines, shared by every ClassGame.
+        # (engine, partition), or (engine,) for exact_shapley -> (per-class
+        # values, per-class base values) of the class-major engines, shared
+        # by every ClassGame.
         self._attributions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -319,16 +322,28 @@ class TableGame:
 
 
 def exact_shapley(game) -> Attribution:
-    """Exact Shapley values by full subset enumeration."""
+    """Exact Shapley values by full subset enumeration.
+
+    A ClassGame's values come from one kernel call over its VectorGame's
+    dense table, every class at once, kept on that VectorGame as the Owen
+    engines keep theirs (_class_major): a later call for any class of the
+    game returns a copy of its row and charges nothing."""
     n = game.n_atoms
     if n > SHAPLEY_MAX_ATOMS:
         raise ValueError(f"exact_shapley guard: {n} atoms > {SHAPLEY_MAX_ATOMS}")
     before = game.evals_used
-    table = game.full_table()
-    phi = _kernels.shapley_from_table(table, n)
+    if isinstance(game, ClassGame):
+        shared, row = game.vector_game._attributions, game.class_index
+        if ("exact_shapley",) not in shared:
+            table = game.vector_game.dense_table()
+            shared[("exact_shapley",)] = (_kernels.shapley_from_table(table, n), table[:, 0])
+        values, base = shared[("exact_shapley",)]
+    else:
+        table = game.full_table()
+        values, base, row = _kernels.shapley_from_table(table[None], n), table[:1], 0
     return Attribution(
-        values=np.asarray(phi, dtype=np.float64),
-        base_value=float(table[0]),
+        values=values[row].copy(),
+        base_value=float(base[row]),
         method="exact_shapley",
         class_index=getattr(game, "class_index", None),
         evals_used=game.evals_used - before,
@@ -456,15 +471,13 @@ def group_uniform_shapley(game, partition) -> Attribution:
 
 def _group_uniform_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.ndarray]:
     """group_uniform_shapley's values and base value of every class read
-    returns: one subset-table kernel call per class."""
-    m = len(groups)
+    returns: one subset-table kernel call for every class."""
     masks, _ = _unions([sum(1 << i for i in g) for g in groups], _mask_dtype(n))
     table = read(masks)
+    group_phi = _kernels.shapley_from_table(table, len(groups))
     phi = np.zeros((classes, n), dtype=np.float64)
-    for row, values in zip(phi, table):
-        group_phi = _kernels.shapley_from_table(values, m)
-        for gi, members in enumerate(groups):
-            row[members] = group_phi[gi] / len(members)
+    for gi, members in enumerate(groups):
+        phi[:, members] = group_phi[:, gi, None] / len(members)
     return phi, table[:, 0]
 
 

@@ -145,6 +145,20 @@ class TestPureKernels:
             expected = whole_half_shapley(table, n)
             assert _kernels.shapley_from_table(table, n).tobytes() == expected.tobytes()
 
+    def test_class_rows_match_one_table_at_a_time(self):
+        r = rng()
+        for n in (0, 1, 2, 5, 12, 20):
+            tables = r.uniform(-1, 1, (3, 1 << n))
+            phi = _kernels.shapley_from_table(tables, n)
+            assert phi.shape == (3, n)
+            expected = [_kernels.shapley_from_table(t, n).tobytes() for t in tables]
+            assert [row.tobytes() for row in phi] == expected
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 8), (2, 4)])
+    def test_shapley_table_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="length 2\\*\\*n"):
+            _kernels.shapley_from_table(np.zeros(shape), 3)
+
     def test_shapley_table_close_to_dot_formula(self):
         r = rng()
         for n in (1, 2, 7, 12, 16, 17, 20):

@@ -457,8 +457,9 @@ SMALL_GROUPS = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
 
 
 class TestClassMajor:
-    """exact_owen and group_uniform_shapley read a ClassGame's VectorGame
-    once for every class and share the result with the other classes."""
+    """exact_shapley, exact_owen and group_uniform_shapley read a
+    ClassGame's VectorGame once for every class and share the result with
+    the other classes."""
 
     @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
     @pytest.mark.parametrize("ledger", [False, True])
@@ -523,6 +524,30 @@ class TestClassMajor:
         assert got.values.tobytes() == expected.values.tobytes()
         assert got.evals_used == expected.evals_used - charged
         assert ledger.evals_used == expected.evals_used
+
+    def test_shapley_classes_share_one_kernel_call(self):
+        game = small_game(QueryLedger())
+        with mock.patch.object(oracle._kernels, "shapley_from_table",
+                               wraps=shapley_from_table) as kernel:
+            got = [exact_shapley(ClassGame(game, c)) for c in (2, 0, 1)]
+        assert kernel.call_count == 1
+        assert [a.evals_used for a in got] == [1 << 12, 0, 0]
+        assert game.ledger.evals_used == 1 << 12
+        for attr, c in zip(got, (2, 0, 1)):
+            row = ClassGame(small_game(), c).full_table()
+            assert attr.values.tobytes() == shapley_from_table(row, 12).tobytes()
+            assert attr.base_value.hex() == float(row[0]).hex()
+            assert attr.class_index == c
+        # The returned values are copies of the kept rows.
+        got[0].values[:] = 7.0
+        assert exact_shapley(ClassGame(game, 2)).values.tobytes() == (
+            shapley_from_table(ClassGame(small_game(), 2).full_table(), 12).tobytes())
+
+    def test_shapley_budget_exhausted_caches_nothing(self):
+        game = small_game(QueryLedger(budget=(1 << 12) - 1))
+        with pytest.raises(BudgetExhausted):
+            exact_shapley(ClassGame(game, 0))
+        assert game._attributions == {}
 
 
 def index_twins(n: int, budget: int | None = None):
