@@ -1,6 +1,5 @@
 """Hot numpy kernels: separable Gaussian blur, batch coalition masking
-and subset-table Shapley accumulation, and the rule that splits a job
-over a large table between CPUs.
+and subset-table Shapley accumulation.
 
 The blur accumulates its taps in ascending-offset order. The Shapley
 kernel is one O(2**n) fold on the caller's thread: it weights the
@@ -10,31 +9,14 @@ while the row is in cache, then takes the bits from the top, reading
 each atom's value off the two tables' halves and adding each table's
 upper half onto its lower. Each reduction is numpy's own pairwise sum
 over a whole 1-D buffer, so its bits do not depend on BLAS or its thread
-count. run_in_parts splits a job over a table of at least
-_SPLIT_MIN_SIZE entries into up to _MAX_PARTS parts, one per CPU the
-process may run on, the caller's thread running one part and a thread of
-its own each other. Only the exact-Shapley dense fill
-(oracle.VectorGame.dense_table) uses it, for its model batches, so the
-model is called from two threads at once.
+count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from typing import Callable
 
 import numpy as np
-
-# The dense fill of a table of at least this many entries splits its
-# chunks over the CPUs. The fill of a 20-atom game on a 2-vCPU VM, one
-# part against two: 146 / 84 ms with BLAS on one thread, 101-108 / 98 ms
-# with its default threads (BENCH_15.json).
-_SPLIT_MIN_SIZE = 1 << 17
-
-# Parts at most: two is the only count measured.
-_MAX_PARTS = 2
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -91,43 +73,6 @@ def shapley_weights(n: int) -> np.ndarray:
     return np.array(
         [math.exp(lg[s] + lg[n - s - 1] - lg[n]) for s in range(n)], dtype=np.float64
     )
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def run_in_parts(size: int, limit: int, run: Callable[[int, int], None]) -> None:
-    """Call run(part, parts) for every part of a job over a table of size
-    entries: min(CPUs, limit, _MAX_PARTS) parts from _SPLIT_MIN_SIZE
-    entries on, else one. The caller runs part 0 and a thread of its own
-    runs each other part. Every thread is joined before the caller's error,
-    or else the first helper's, is raised."""
-    parts = min(_cpu_count(), limit, _MAX_PARTS) if size >= _SPLIT_MIN_SIZE else 1
-    errors: list[BaseException] = []
-
-    def helper(part: int) -> None:
-        try:
-            run(part, parts)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for part in range(1, parts):
-            thread = threading.Thread(target=helper, args=(part,))
-            thread.start()
-            threads.append(thread)
-        run(0, parts)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:

@@ -26,11 +26,9 @@ class ModelOutputError(ValueError):
 class Model:
     """Deterministic probabilistic classifier over flat inputs.
 
-    evaluate may be called from two threads at once: the exact-Shapley
-    dense fill of a table of 2**17 coalitions or more sends its batches
-    from two threads (oracle.VectorGame.dense_table). It must not write
-    into its batch or read it after returning: the fill rewrites one
-    buffer for each thread's next batch."""
+    evaluate must not write into its batch or read it after returning:
+    the exact-Shapley dense fill (oracle.VectorGame.dense_table) rewrites
+    one buffer for its next batch."""
 
     num_classes: int
     input_shape: tuple[int, ...]

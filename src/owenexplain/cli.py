@@ -92,9 +92,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run configuration")
     _config_flag(parser, "--seed", "seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int,
-                        help="accepted and ignored; the dense fill of a large exact "
-                             "Shapley table uses up to two of the CPUs the process "
-                             "may run on, with byte-identical outputs")
+                        help="accepted and ignored; every model call runs in one "
+                             "fixed order on the caller's thread")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="write the fully resolved config JSON here")
     _config_flag(parser, "--victim", "victim.kind", choices=VICTIM_KINDS)

@@ -29,7 +29,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,24 +165,18 @@ class VectorGame:
         column r is the coalition whose members are the set bits of r, so
         each class's values are one contiguous row.
 
-        Built once, in chunks of _CHUNK masks: memoized coalitions are
-        copied in from the index, and each chunk's others are charged and
-        evaluated as one batch, the batches the memo path would send. None
-        is added to the memo. The chunks are split over the parts of
-        _kernels.run_in_parts, so a table of _kernels._SPLIT_MIN_SIZE
-        entries or more calls the model from two threads at once. While
-        _CHUNK is a power of two, each part masks its chunks with no
-        memoized coalition into one buffer of its own through
-        BoundMasker.chunk_batch, which rewrites only the cells of atoms
-        whose bit changed since the part's last such chunk; the buffer's
-        outputs are copied into the table before it is rewritten. Parts
-        take chunks in ascending order and charge each under one lock
-        before it reaches the model; once a charge or an evaluation has
-        failed, no part takes another chunk. Chunks that other parts took
-        while the failing one was in flight stay charged and evaluated,
-        but only the coalitions of the chunks below the failing one are
-        memoized, as one part would have memoized them. Then its error is
-        raised and no table is kept.
+        Built once, on the caller's thread, in ascending chunks of _CHUNK
+        masks: memoized coalitions are copied in from the index, and each
+        chunk's others are charged and evaluated as one batch, the batches
+        the memo path would send. None is added to the memo. _CHUNK and the
+        table's size are powers of two, so every chunk is aligned to its
+        length: a chunk with no memoized coalition is masked into one buffer
+        through BoundMasker.chunk_batch, which rewrites only the cells of
+        atoms whose bit changed since the last such chunk, and its outputs
+        are copied into the table before the buffer is rewritten. If a
+        chunk's charge or evaluation fails, only the chunks below it have
+        been charged: their coalitions are memoized, as the memo path would
+        have memoized them, the error is raised and no table is kept.
         """
         if self._dense is not None:
             return self._dense
@@ -194,47 +187,23 @@ class VectorGame:
         known = np.zeros(size, dtype=bool)
         known[self.memo] = True
         table[:, self.memo] = self._table[self.memo_rows].T
-        chunks = -(-size // _CHUNK)
-        # Powers of two divide size, so every chunk is aligned to its length.
-        aligned = _CHUNK & (_CHUNK - 1) == 0
-        lock = threading.Lock()
-        next_chunk = 0
-        failed: dict[int, BaseException] = {}
-
-        def run(_part: int, _parts: int) -> None:
-            nonlocal next_chunk
-            chunk = next_chunk
-            batch, held = None, 0  # this part's buffer and the chunk it holds
-            # The lock is held except while a chunk is evaluated, so a failed
-            # charge is recorded before another part can take a chunk.
-            with lock:
-                try:
-                    while not failed and next_chunk < chunks:
-                        chunk = next_chunk
-                        next_chunk += 1
-                        start, stop = chunk * _CHUNK, min((chunk + 1) * _CHUNK, size)
-                        miss = np.flatnonzero(~known[start:stop]) + start
-                        if miss.size and self.ledger is not None:
-                            self.ledger.charge(miss.size, self.tag)
-                        lock.release()
-                        try:
-                            if aligned and miss.size == stop - start:
-                                batch = self.masker.chunk_batch(start, miss.size, batch, held)
-                                held = start
-                                table[:, start:stop] = checked_outputs(self.model, batch).T
-                            elif miss.size:
-                                table[:, miss] = self.evaluate_misses(miss, memoize=False).T
-                        finally:
-                            lock.acquire()
-                except BaseException as exc:
-                    failed[chunk] = exc
-
-        _kernels.run_in_parts(size, chunks, run)
-        if failed:
-            first = min(failed)
-            fresh = np.flatnonzero(~known[: first * _CHUNK])
+        batch, held = None, 0  # the chunk buffer and the chunk it holds
+        try:
+            for start in range(0, size, _CHUNK):
+                stop = min(start + _CHUNK, size)
+                miss = np.flatnonzero(~known[start:stop]) + start
+                if miss.size and self.ledger is not None:
+                    self.ledger.charge(miss.size, self.tag)
+                if miss.size == stop - start:
+                    batch = self.masker.chunk_batch(start, miss.size, batch, held)
+                    held = start
+                    table[:, start:stop] = checked_outputs(self.model, batch).T
+                elif miss.size:
+                    table[:, miss] = self.evaluate_misses(miss, memoize=False).T
+        except BaseException:
+            fresh = np.flatnonzero(~known[:start])
             self._store(fresh, table[:, fresh].T)
-            raise failed[first]
+            raise
         self._dense_evals = size - int(np.count_nonzero(known))
         self._dense = table
         return table

@@ -41,7 +41,7 @@ def permutation_shapley(game) -> np.ndarray:
 
 class RecordingModel(Model):
     """A victim that logs every batch it is sent, shape first, and returns
-    NaN from call fail_at on, or for a batch holding the row poison."""
+    NaN from call fail_at on."""
 
     def __init__(self, victim):
         self.victim = victim
@@ -49,15 +49,12 @@ class RecordingModel(Model):
         self.input_shape = victim.input_shape
         self.batches: list[bytes] = []
         self.fail_at: int | None = None
-        self.poison: np.ndarray | None = None
 
     def evaluate(self, batch):
         batch = np.asarray(batch)
         self.batches.append(repr(batch.shape).encode() + batch.tobytes())
         out = self.victim.evaluate(batch)
         if self.fail_at is not None and len(self.batches) > self.fail_at:
-            return np.full_like(out, np.nan)
-        if self.poison is not None and (batch == self.poison).all(axis=1).any():
             return np.full_like(out, np.nan)
         return out
 

@@ -7,19 +7,15 @@ misses charged, evaluated and memoized, then shapley_from_table on the
 class's column. value_batch's reference is the same dict memo walk. Each
 pair runs on twin games (same model, input, pre-memoized coalitions and
 budget) and must agree bit for bit, down to the model batches they send.
-The fill split over several parts is checked against the fill on one part.
+A 17-atom fill is checked chunk by chunk against masked_batch.
 """
 
-import contextlib
-import os
-import sys
 import threading
-from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DictMemo, RecordingModel, assert_index_matches
@@ -30,7 +26,6 @@ from owenexplain import (
     ModelOutputError,
     QueryLedger,
     VictimSpec,
-    _kernels,
     build_atom_grid,
     exact_shapley,
     make_rng,
@@ -41,12 +36,12 @@ from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import ClassGame, VectorGame
 
 
-def twin(case, reference: bool = False):
+def twin(case, reference: bool = False, model_type=RecordingModel):
     """(game, model, ledger) with case's coalitions memoized one read each;
     under reference, game is a DictMemo of the VectorGame."""
     spec = VictimSpec(kind="linear_softmax", seed=case["seed"], num_classes=case["classes"],
                       input_shape=(case["n"],), weight_scale=3.0)
-    model = RecordingModel(make_victim(spec))
+    model = model_type(make_victim(spec))
     masker = MaskerSpec(grid=build_atom_grid((case["n"],), (1,)), fill="mean")
     x = make_rng(case["seed"]).uniform(0.0, 1.0, case["n"])
     ledger = QueryLedger(budget=case["budget"])
@@ -56,8 +51,6 @@ def twin(case, reference: bool = False):
         game.values([bits])
     if case["fail_after"] is not None:
         model.fail_at = len(model.batches) + case["fail_after"]
-    if case.get("poison") is not None:
-        model.poison = vector_game.masker.masked_batch([case["poison"]])[0]
     return game, model, ledger
 
 
@@ -99,7 +92,7 @@ def cases(draw):
         "fail_after": draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6))),
         # Small chunks put several batches, and so a mid-fill failure, into
         # a game of at most 1,024 coalitions.
-        "chunk": draw(st.sampled_from([1, 3, 64, 4096])),
+        "chunk": draw(st.sampled_from([1, 2, 64, 4096])),
     }
 
 
@@ -203,108 +196,39 @@ def test_value_batch_matches_miss_first_walk(case):
             assert game.evals_used == used
 
 
-@contextlib.contextmanager
-def split_fill(parts):
-    """Every table splits over parts parts, with a thread switch requested
-    every microsecond."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(_kernels, "_SPLIT_MIN_SIZE", 1), \
-                mock.patch.object(_kernels, "_MAX_PARTS", parts), \
-                mock.patch.object(_kernels, "_cpu_count", lambda: parts):
-            yield
-    finally:
-        sys.setswitchinterval(interval)
+class LayoutLog(RecordingModel):
+    """A RecordingModel that also logs the strides of every batch."""
+
+    def __init__(self, victim):
+        super().__init__(victim)
+        self.strides: list[tuple[int, ...]] = []
+
+    def evaluate(self, batch):
+        self.strides.append(np.asarray(batch).strides)
+        return super().evaluate(batch)
 
 
-def batch_rows(batch: bytes) -> int:
-    """Row count of a logged batch, from the repr of its shape."""
-    return int(batch[1:batch.index(b",")])
-
-
-@st.composite
-def split_cases(draw):
-    case = draw(cases())
-    # A batch holding the poisoned coalition fails whichever part sends it,
-    # so the failing chunk does not depend on the order of model calls.
-    case["fail_after"] = None
-    case["poison"] = draw(st.one_of(st.none(), st.integers(0, (1 << case["n"]) - 1)))
-    case["chunk"] = draw(st.sampled_from([1, 3, 64]))
-    # Three parts on two CPUs: more threads than cores.
-    case["parts"] = draw(st.sampled_from([2, 3]))
-    return case
-
-
-@given(split_cases())
-# The charge of chunk 10 fails with 2 evaluations left, which would cover
-# chunk 11's one miss: no part may take it.
-@example({"n": 8, "classes": 3, "seed": 1, "pre": [33, 34], "budget": 34, "fail_after": None,
-          "chunk": 3, "poison": None, "parts": 2})
-@settings(max_examples=100, deadline=None)
-def test_split_fill_matches_one_part(case):
-    with mock.patch.object(oracle, "_CHUNK", case["chunk"]):
-        # n <= 10 never reaches _SPLIT_MIN_SIZE: the reference runs on one part.
-        ref_game, ref_model, ref_ledger = twin(case)
-        ref, ref_error = every_class(dense_shapley, ref_game, case["classes"])
-        game, model, ledger = twin(case)
-        calls, charged = len(model.batches), ledger.evals_used
-        before = threading.active_count()
-        with split_fill(case["parts"]):
-            got, error = every_class(dense_shapley, game, case["classes"])
-        assert threading.active_count() == before
-
-    assert got == ref
-    assert error is ref_error
-    # Every row the fill sent was charged, and every charge was sent.
-    assert sum(map(batch_rows, model.batches[calls:])) == ledger.evals_used - charged
-    # Memoized: the coalitions of the chunks below the first failing one.
-    assert game.memo.tobytes() == ref_game.memo.tobytes()
-    assert game.memo_rows.tobytes() == ref_game.memo_rows.tobytes()
-    assert (game._table[: len(game.memo)].tobytes()
-            == ref_game._table[: len(ref_game.memo)].tobytes())
-    assert game.evals_used == ref_game.evals_used
-    if error is ModelOutputError:
-        # The fill sent every batch one part sends, up to the failing one,
-        # and the batches of the chunks other parts had taken by then.
-        sent, one_part = Counter(model.batches), Counter(ref_model.batches)
-        assert not one_part - sent
-        extra = (sent - one_part).elements()
-        assert ledger.evals_used - ref_ledger.evals_used == sum(map(batch_rows, extra))
-    else:
-        assert sorted(model.batches) == sorted(ref_model.batches)
-        assert ledger.evals_used == ref_ledger.evals_used
-        assert ledger.by_tag == ref_ledger.by_tag
-    if error is None:
-        assert game._dense.tobytes() == ref_game._dense.tobytes()
-
-
-def fill_threads(game):
-    """The threads dense_table started."""
+def test_fill_sends_its_chunks_in_order_from_the_callers_thread():
+    # 17 atoms: 32 chunks of 4,096 masks, none memoized.
+    case = {"n": 17, "classes": 4, "seed": 5, "pre": [], "budget": None, "fail_after": None}
+    ref_game = twin(case, reference=True)[0]
+    game, model, ledger = twin(case, model_type=LayoutLog)
     with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
+        table = game.dense_table()
+    assert made.call_count == 0
+    assert len(model.batches) == 32
+    for k, (batch, strides) in enumerate(zip(model.batches, model.strides)):
+        expected = game.masker.masked_batch(range(k * 4096, (k + 1) * 4096))
+        assert batch == repr(expected.shape).encode() + expected.tobytes()
+        assert strides == expected.strides
+    assert table.tobytes() == ref_game.values(np.arange(1 << 17)).tobytes()
+    assert ledger.evals_used == game.evals_used == 1 << 17
+
+    # The charge of chunk 5 fails: chunks 0-4 stay charged and are
+    # memoized, and no later chunk reaches the ledger or the model.
+    game, model, ledger = twin(dict(case, budget=5 * 4096 + 100))
+    with pytest.raises(BudgetExhausted):
         game.dense_table()
-    return made.call_count
-
-
-def seventeen_atom_game():
-    case = {"n": 17, "classes": 4, "seed": 5, "pre": [0, 3, 1 << 16], "budget": None,
-            "fail_after": None}
-    return twin(case)[0]
-
-
-def test_split_fill_starts_one_thread_per_other_part():
-    one, split = seventeen_atom_game(), seventeen_atom_game()
-    with mock.patch.object(_kernels, "_cpu_count", lambda: 1):
-        assert fill_threads(one) == 0
-    with mock.patch.object(_kernels, "_cpu_count", lambda: 2):
-        assert fill_threads(split) == 1
-    assert split.dense_table().tobytes() == one.dense_table().tobytes()
-    assert split.evals_used == one.evals_used == (1 << 17)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
-def test_fill_parts_follow_the_real_affinity():
-    # No patching: under a one-CPU affinity (taskset -c 0) the fill runs on
-    # the caller's thread alone, on two CPUs or more it starts one helper.
-    game = seventeen_atom_game()
-    assert fill_threads(game) == min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS) - 1
+    assert len(model.batches) == 5
+    assert ledger.evals_used == len(game.memo) == 5 * 4096
+    assert game.memo.tolist() == list(range(5 * 4096))

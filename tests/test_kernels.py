@@ -220,15 +220,6 @@ class TestPureKernels:
         assert np.array_equal(out, [[1, 2, 0, 0], [0, 0, 3, 4]])
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets the CPUs the process may run on."""
-    def set_count(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-    return set_count
-
-
 def started_threads(call, *args):
     """call's result and the number of threads it started."""
     with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
@@ -236,86 +227,17 @@ def started_threads(call, *args):
     return result, made.call_count
 
 
-def parts_of(size, limit):
-    """(part, parts) of every call run_in_parts makes, and its thread count."""
-    calls = []
-    _, started = started_threads(_kernels.run_in_parts, size, limit,
-                                 lambda part, parts: calls.append((part, parts)))
-    return sorted(calls), started
-
-
 class TestAtomSplit:
-    """run_in_parts, the dense fill's split, and the Shapley kernel, which
-    starts no thread at any CPU count."""
+    """The Shapley kernel against the plain fold, on the caller's thread."""
 
-    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 17, 19, 20])
-    def test_bitwise_equal_to_single_loop(self, cpus, n, count):
-        cpus(count)
+    def test_bitwise_equal_to_single_loop(self, n):
         table = rng().uniform(-1, 1, 1 << n)
         before = threading.active_count()
         phi, started = started_threads(_kernels.shapley_from_table, table, n)
         assert phi.tobytes() == folded_shapley(table, n).tobytes()
         assert started == 0
         assert threading.active_count() == before
-
-    def test_more_parts_than_cores_with_frequent_switches(self, cpus, monkeypatch):
-        # Every part writes its own slots of out; a lost or misplaced write
-        # would change the bytes. Three and eight parts deal 17 slots
-        # unevenly.
-        cpus(8)
-        table = rng().uniform(-1, 1, (17, 1 << 13))
-        expected = table.sum(axis=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for parts in (3, 8):
-                monkeypatch.setattr(_kernels, "_MAX_PARTS", parts)
-                out = np.empty(17)
-
-                def run(part, count):
-                    for i in range(part, 17, count):
-                        out[i] = table[i].sum()
-
-                _, started = started_threads(_kernels.run_in_parts, 1 << 17, 17, run)
-                assert started == parts - 1
-                assert out.tobytes() == expected.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
-    def test_parts_follow_the_real_affinity(self):
-        # No patching: under a one-CPU affinity (taskset -c 0) a large job
-        # runs inline, on two CPUs or more it starts one helper thread.
-        parts = min(len(os.sched_getaffinity(0)), _kernels._MAX_PARTS)
-        calls, started = parts_of(_kernels._SPLIT_MIN_SIZE, 20)
-        assert calls == [(part, parts) for part in range(parts)]
-        assert started == parts - 1
-        assert parts_of(_kernels._SPLIT_MIN_SIZE - 1, 20) == ([(0, 1)], 0)
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _kernels._cpu_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _kernels._cpu_count() == 1
-
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_part_exception_reaches_caller(self, cpus, failing):
-        cpus(3)
-        finished = []
-
-        def run(part, parts):
-            in_caller = threading.current_thread() is threading.main_thread()
-            if in_caller == (failing == "caller"):
-                raise FloatingPointError(f"{failing} part")
-            finished.append(part)
-
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match=f"{failing} part"):
-            _kernels.run_in_parts(1 << 17, 17, run)
-        assert threading.active_count() == before
-        assert finished == ([1] if failing == "caller" else [0])
 
 
 def test_oracle_bytes_do_not_depend_on_blas_threads(tmp_path):

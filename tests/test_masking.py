@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import DictMemo
 
 from owenexplain import (
-    MaskerSpec, Model, _kernels, blur_reference, build_atom_grid, make_rng, oracle)
+    MaskerSpec, Model, blur_reference, build_atom_grid, make_rng, oracle)
 from owenexplain.masking import BoundMasker, fill_reference
 from owenexplain.oracle import VectorGame
 
@@ -245,9 +245,7 @@ def test_fill_copies_outputs_before_rewriting_the_buffer():
     x = make_rng(6).uniform(0, 1, n)
     expected = DictMemo(VectorGame(ViewModel(n), x, spec)).values(np.arange(1 << n))
     game = VectorGame(ViewModel(n), x, spec)
-    # Sixteen chunks over two parts, so each part rewrites its buffer.
-    with mock.patch.object(oracle, "_CHUNK", 64), \
-            mock.patch.object(_kernels, "_SPLIT_MIN_SIZE", 1), \
-            mock.patch.object(_kernels, "_cpu_count", lambda: 2):
+    # Sixteen chunks, so the fill rewrites its one buffer fifteen times.
+    with mock.patch.object(oracle, "_CHUNK", 64):
         table = game.dense_table()
     assert table.tobytes() == expected.tobytes()
