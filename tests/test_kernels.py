@@ -220,6 +220,15 @@ class TestPureKernels:
         assert np.array_equal(out, [[1, 2, 0, 0], [0, 0, 3, 4]])
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs the process may run on."""
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return set_count
+
+
 def started_threads(call, *args):
     """call's result and the number of threads it started."""
     with mock.patch.object(threading, "Thread", wraps=threading.Thread) as made:
@@ -228,10 +237,13 @@ def started_threads(call, *args):
 
 
 class TestAtomSplit:
-    """The Shapley kernel against the plain fold, on the caller's thread."""
+    """The Shapley kernel against the plain fold, on the caller's thread at
+    any CPU count."""
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n", [16, 17, 19, 20])
-    def test_bitwise_equal_to_single_loop(self, n):
+    def test_bitwise_equal_to_single_loop(self, cpus, n, count):
+        cpus(count)
         table = rng().uniform(-1, 1, 1 << n)
         before = threading.active_count()
         phi, started = started_threads(_kernels.shapley_from_table, table, n)
