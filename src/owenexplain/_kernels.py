@@ -53,6 +53,11 @@ def apply_masks(
 
     active is a (n_coalitions, n_atoms) uint8 matrix; cells of inactive
     atoms are replaced by the fill reference.
+
+    The batch is Fortran-ordered (each cell's column contiguous), and the
+    layout is part of the contract: a model's matmul can round differently
+    on a C-ordered copy of the same bytes, and BoundMasker.chunk_batch
+    rewrites the same layout in place.
     """
     active_cells = active[:, cell_atom].astype(bool)
     return np.where(active_cells, x[np.newaxis, :], fill[np.newaxis, :])

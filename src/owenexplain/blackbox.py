@@ -38,7 +38,9 @@ class Model:
         return math.prod(self.input_shape)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        """(n_rows, n_cells) -> (n_rows, num_classes) probabilities."""
+        """(n_rows, n_cells) -> (n_rows, num_classes) probabilities, in any
+        memory layout: the softmax victims return a class-major array's
+        (rows, classes) view, and no caller's bytes depend on the layout."""
         raise NotImplementedError
 
     def evaluate_one(self, x: np.ndarray) -> np.ndarray:
@@ -75,13 +77,14 @@ class TopKConfig:
         if any entry is not finite, in every mode. The top k are the k
         largest entries, ties going to the lower class index. Soft mode at
         k equal to the class count is the identity; leftover shares keep
-        exact float64 arithmetic, with no flooring."""
+        exact float64 arithmetic, with no flooring. The identity copies keep
+        raw's memory layout."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2:
             raise ValueError("batch must be 2-D")
         _finite(raw)
         if self.mode == "all":
-            return raw.copy()
+            return np.copy(raw)
         if (raw < 0).any():
             raise ValueError("probabilities must be non-negative")
         if (abs(raw.sum(axis=1) - 1.0) > _PROB_ATOL).any():
@@ -91,7 +94,7 @@ class TopKConfig:
         if not 1 <= k <= c:
             raise ValueError(f"k must be in [1, {c}], got {k}")
         if self.mode == "soft" and k == c:
-            return raw.copy()
+            return np.copy(raw)
         top = np.argsort(-raw, axis=1, kind="stable")[:, :k]
         rows = np.arange(len(raw))[:, None]
         if self.mode == "soft":
@@ -204,28 +207,35 @@ class VictimSpec:
                 )
 
 
-def _softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row softmax of a (rows, classes) array of logits / temperature, as a
-    new C-contiguous (rows, classes) array with the bytes of
+def _softmax(logits: np.ndarray, temperature: float = 1.0,
+             bias: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax of a (rows, classes) array of (logits + bias) /
+    temperature, with the bytes of
 
-        z = logits / temperature
+        z = (logits + bias) / temperature
         e = np.exp(z - z.max(axis=1, keepdims=True))
         e / e.sum(axis=1, keepdims=True)
+
+    returned as e.T, the (rows, classes) view of a new class-major
+    (classes, rows) array: each class's outputs are one contiguous row.
 
     The work is done class-major, on a (classes, rows) copy, because
     numpy runs a reduction along axis 1 as one length-C loop per row, about
     60 ns a row, which at 4 classes cost more than the exp and the matmul
-    before it. Class-major, the max is one elementwise np.maximum over
-    class rows (exact in any order) and the normaliser is
-    _class_major_sum, which adds class rows in the order of numpy's
-    pairwise sum. Dividing by 1.0 is exact, so it is skipped."""
+    before it. Class-major, the bias is one scalar add per class row, the
+    max is one elementwise np.maximum over class rows (exact in any order)
+    and the normaliser is _class_major_sum, which adds class rows in the
+    order of numpy's pairwise sum. Dividing by 1.0 is exact, so it is
+    skipped."""
     e = logits.T.copy()
+    if bias is not None:
+        e += bias[:, None]
     if temperature != 1.0:
         e /= temperature
     e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
     e /= _class_major_sum(e)
-    return e.T.copy()
+    return e.T
 
 
 def _class_major_sum(e: np.ndarray) -> np.ndarray:
@@ -270,9 +280,7 @@ class LinearSoftmaxVictim(Model):
         self.b.setflags(write=False)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        logits = batch @ self.W.T
-        logits += self.b
-        return _softmax(logits, self.spec.temperature)
+        return _softmax(batch @ self.W.T, self.spec.temperature, self.b)
 
 
 def class_regions(input_shape: tuple[int, ...], num_classes: int) -> np.ndarray:
@@ -318,9 +326,7 @@ class QuadrantBrightVictim(Model):
         self.bias.setflags(write=False)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        scores = batch @ self.region_mean.T
-        scores += self.bias
-        return _softmax(scores, self.spec.temperature)
+        return _softmax(batch @ self.region_mean.T, self.spec.temperature, self.bias)
 
 
 class GroupSymmetricVictim(Model):

@@ -50,9 +50,7 @@ class SubstituteModel(Model):
             self.input_shape = (self.W.shape[1],)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
-        logits = batch @ self.W.T
-        logits += self.b
-        return _softmax(logits, self.temperature)
+        return _softmax(batch @ self.W.T, self.temperature, self.b)
 
     def copy(self) -> "SubstituteModel":
         return SubstituteModel(self.W.copy(), self.b.copy(), self.temperature, self.input_shape)

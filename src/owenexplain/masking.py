@@ -11,13 +11,16 @@ The exact-Shapley dense fill masks every coalition in aligned chunks of
 2**k masks, which share every bit from k up, so one chunk's batch differs
 from another's only in the cells of atoms k and up, and there only where
 the two chunks' bits differ. BoundMasker.chunk_batch masks a buffer's
-first chunk in full, as masked_batch does, and rewrites only those cells
-for each later chunk, with the same bytes.
+first chunk in full, as masked_batch does. For each later chunk it
+rewrites only the atoms whose bit differs, one atom at a time, setting
+the atom's cells from x or from the fill. The bytes and the layout are
+masked_batch's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,13 +117,21 @@ class BoundMasker:
         and start a multiple of it.
 
         Given out, the batch this method returned for the chunk at held (of
-        the same rows), out is rewritten in place and returned: only the
-        cells of atoms whose bit differs between start and held change.
-        Without out the batch is a new masked_batch.
+        the same rows), out is rewritten in place and returned: for each
+        atom whose bit differs between start and held, that atom's cells
+        are set from x if start holds it and from the fill if not. Without
+        out the batch is a new masked_batch.
         """
         if out is None:
             return self.masked_batch(range(start, start + rows))
-        now, changed = self.active_rows([start, start ^ held]).astype(bool)
-        cells = np.flatnonzero(changed[self.grid.cell_atom])
-        out[:, cells] = np.where(now[self.grid.cell_atom[cells]], self.x[cells], self.fill[cells])
+        changed = start ^ held
+        for atom in range(changed.bit_length()):
+            if changed >> atom & 1:
+                cells = self._atom_cells[atom]
+                out[:, cells] = (self.x if start >> atom & 1 else self.fill)[cells]
         return out
+
+    @cached_property
+    def _atom_cells(self) -> list[np.ndarray]:
+        """Each atom's cell indices, ascending."""
+        return [np.flatnonzero(self.grid.cell_atom == atom) for atom in range(self.grid.atom_count)]

@@ -173,7 +173,9 @@ class VectorGame:
         length: a chunk with no memoized coalition is masked into one buffer
         through BoundMasker.chunk_batch, which rewrites only the cells of
         atoms whose bit changed since the last such chunk, and its outputs
-        are copied into the table before the buffer is rewritten. If a
+        are copied into the table before the buffer is rewritten. A softmax
+        victim's outputs are the (rows, classes) view of a class-major
+        array, so each class's copy is one contiguous row. If a
         chunk's charge or evaluation fails, only the chunks below it have
         been charged: their coalitions are memoized, as the memo path would
         have memoized them, the error is raised and no table is kept.

@@ -213,8 +213,8 @@ class TestChunkBatch:
         ((9,), (1,), 8, 3),
     ])
     def test_buffer_from_any_earlier_chunk(self, shape, block, rows, seed):
-        # A part of the dense fill takes chunks out of step with the other
-        # part, so its buffer may hold any earlier chunk.
+        # Chunks in random order: the buffer may hold any other chunk, a
+        # later one included.
         bound = chunk_masker(shape, block, seed)
         chunks = (1 << bound.grid.atom_count) // rows
         order = make_rng(seed).permutation(chunks)[:40]
@@ -224,6 +224,59 @@ class TestChunkBatch:
             batch = bound.chunk_batch(start, rows, batch, held)
             held = start
             assert_same_batch(batch, bound.masked_batch(range(start, start + rows)))
+
+    @pytest.mark.parametrize("shape, block, rows", [
+        ((4, 5), (1, 1), 4096),
+        ((12, 12), (3, 3), 1024),  # 16 block atoms of 9 cells
+        ((7,), (2,), 2),  # a short edge block
+    ])
+    def test_walk_then_jump_back_without_building_masks(self, shape, block, rows):
+        # Up the whole table, then back to chunk 0, the middle chunk and the
+        # last; once the buffer exists no coalition mask is built.
+        bound = chunk_masker(shape, block, seed=4)
+        chunks = (1 << bound.grid.atom_count) // rows
+        walk = [*range(chunks), 0, chunks // 2, chunks - 1]
+        expected = {c: bound.masked_batch(range(c * rows, (c + 1) * rows)) for c in set(walk)}
+        batch = bound.chunk_batch(0, rows)
+        assert_same_batch(batch, expected[0])
+        held = 0
+        with mock.patch.object(BoundMasker, "active_rows", side_effect=AssertionError):
+            for chunk in walk[1:]:
+                batch = bound.chunk_batch(chunk * rows, rows, batch, held)
+                held = chunk * rows
+                assert_same_batch(batch, expected[chunk])
+
+
+def reference_batch(bound, masks):
+    """masked_batch's values, one coalition at a time."""
+    return np.array([
+        np.where([(bits >> int(a)) & 1 for a in bound.grid.cell_atom], bound.x, bound.fill)
+        for bits in masks])
+
+
+class TestBatchLayout:
+    """masked_batch's batches are Fortran-ordered, whatever the masks' type,
+    the batch's length or the atoms' sizes: the bytes a model returns can
+    depend on its batch's layout, so the layout is pinned, not only the
+    bytes."""
+
+    @pytest.mark.parametrize("shape, block, masks", [
+        ((4, 5), (1, 1), np.arange(0, 1 << 20, 9973, dtype=np.int64)),  # int64 masks
+        ((9, 8), (1, 1), [0, (1 << 72) - 1, 1 << 71, (1 << 70) | 5, 2**64 + 3]),  # past 63
+        ((4, 5), (1, 1), [12345]),  # one row
+        ((4, 5), (1, 1), np.array([0, (1 << 20) - 1], dtype=np.int64)),  # two rows
+        ((9, 8), (1, 1), [1 << 70, 3]),  # two rows past 63 atoms
+        ((12, 12), (3, 3), list(range(0, 1 << 16, 257))),  # atoms of 9 cells
+        ((7, 5), (2, 3), [0b101101, 0b010010]),  # short edge blocks, two rows
+    ])
+    def test_masked_batch_is_fortran_ordered(self, shape, block, masks):
+        bound = chunk_masker(shape, block, seed=5)
+        batch = bound.masked_batch(masks)
+        assert batch.shape == (len(masks), bound.grid.n_cells)
+        assert batch.flags.f_contiguous
+        if len(masks) > 1:
+            assert not batch.flags.c_contiguous
+        assert batch.tobytes() == reference_batch(bound, [int(m) for m in masks]).tobytes()
 
 
 class ViewModel(Model):
