@@ -3,13 +3,18 @@ and subset-table Shapley accumulation.
 
 The blur accumulates its taps in ascending-offset order. The Shapley
 kernel is one O(2**n) fold on the caller's thread: it weights the
-centred table once by coalition size into a holding and a lacking table,
-one row of the half-table at a time with every step of the top bit done
-while the row is in cache, then takes the bits from the top, reading
-each atom's value off the two tables' halves and adding each table's
-upper half onto its lower. Each reduction is numpy's own pairwise sum
-over a whole 1-D buffer, so its bits do not depend on BLAS or its thread
-count.
+centred table once by coalition size into a holding and a lacking table
+and takes the bits from the top, reading each atom's value off the two
+tables' halves and adding each table's upper half onto its lower. The
+half table is held as rows of at least 128 entries: they are weighed in
+bit-reversed order and folded over the row bits depth-first, each pair
+as soon as both rows exist, so the live state is a stack of rows small
+enough to stay in cache (about 1 MB at n = 20). Each reduction is
+numpy's own pairwise sum over a 1-D row, and the row sums of a fold
+level are added as a binary tree in ascending row order: numpy splits a
+power-of-two buffer at exact halves down to 128-entry blocks, so these
+are the operands and pairs of one sum over the whole buffer, and its
+bits. They do not depend on BLAS or its thread count.
 """
 
 from __future__ import annotations
@@ -80,15 +85,32 @@ def shapley_weights(n: int) -> np.ndarray:
     )
 
 
+def bit_reversed(bits: int) -> np.ndarray:
+    """Every index in [0, 2**bits), ordered by its bits read backwards."""
+    # Reversed, indices [2**k, 2**(k+1)) are indices [0, 2**k) with their
+    # new top bit, 2**(bits-1-k), set.
+    order = np.zeros(1, dtype=np.intp)
+    for k in range(bits):
+        order = np.concatenate([order, order + (1 << (bits - 1 - k))])
+    return order
+
+
+def tree_sum(terms: np.ndarray) -> float:
+    """Sum of a power-of-two number of terms as a balanced binary tree in
+    ascending order: the order numpy's pairwise sum gives a buffer whose
+    blocks sum to these terms."""
+    while len(terms) > 1:
+        terms = terms[0::2] + terms[1::2]
+    return terms[0]
+
+
 def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     """Exact Shapley values from a dense 2**n game-value table.
 
     values[mask] is the game value of the coalition whose members are the
     set bits of mask. A (classes, 2**n) array of tables gives (classes, n)
-    values: the tables are taken one at a time through the same buffers,
-    so each gets the bits it gets alone, and the buffers are allocated
-    once (at 20 atoms, touching fresh ones cost about as much as weighting
-    a table into them).
+    values: the tables are taken one at a time through the same row
+    buffers, so each gets the bits it gets alone.
     """
     size = 1 << n
     values = np.asarray(values, dtype=np.float64)
@@ -109,43 +131,73 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     # Weights by size, shifted by one: padded[s + 1] = w(s), and 0 for the
     # empty holding coalition and the full lacking one.
     padded = np.concatenate(([0.0], shapley_weights(n), [0.0]))
-    # The halves are weighted row by row: a row of the
-    # (2**row_bits, 2**col_bits) view whose index has p set bits takes the
-    # weights rows[p + shift], so no weight array spans the table, and each
-    # row goes through every step of bit n-1 while it is in cache. A third
-    # of the bits as row bits keeps both the row loop and the weight rows
-    # short: at n = 20 it was the fastest split, about 2x faster than one
-    # weight row over the whole half.
-    row_bits = (n - 1) // 3
-    col_bits = n - 1 - row_bits
+    # The half-table's masks m < 2**(n-1) form a (2**row_bits, 2**col_bits)
+    # grid. A row whose index has p set bits takes the weights rows[p +
+    # shift], so no weight array spans the table. A third of the bits as
+    # row bits keeps both the row loop and the weight rows short, but a
+    # row keeps at least 128 columns (below n = 9, one row): see the sums.
+    col_bits = max(n - 1 - (n - 1) // 3, min(n - 1, 7))
+    row_bits = n - 1 - col_bits
     counts = popcounts(col_bits)
     rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
     row_counts = popcounts(row_bits)
-    held, lacked, spare = (np.empty((1 << row_bits, 1 << col_bits)) for _ in range(3))
-    scratch = np.empty(1 << col_bits)
+    # The row bits are folded depth-first, so no buffer spans the half
+    # table: rows are weighed in bit-reversed order, and two rows that
+    # differ in row bit b are folded as soon as both are done. Held and
+    # lacked rows wait on a stack of row_bits + 1 slots, the rows that
+    # differ in bit b one slot above the rows they fold onto, and each
+    # slot keeps its fold in cache.
+    order = bit_reversed(row_bits)
+    held, lacked = np.empty((2, row_bits + 1, 1 << col_bits))
+    spare, scratch = np.empty((2, 1 << col_bits))
+    slot_rows = np.empty(row_bits + 1, dtype=np.intp)
+    # sums[b, r] is row r's sum for bit col_bits + b (b = row_bits is bit
+    # n-1). numpy's pairwise sum of a power-of-two buffer splits it at
+    # exact halves down to 128-element blocks, so with rows of at least
+    # 128 elements a whole-buffer sum is the tree of its row sums in
+    # ascending order: tree_sum adds the same operands in the same pairs
+    # as the whole-buffer sums of the unblocked fold, and gives its bits.
+    sums = np.empty((row_bits + 1, 1 << row_bits))
     for table, out in zip(values.reshape(-1, size), phi.reshape(-1, n)):
         lo, hi = table.reshape(2, 1 << row_bits, 1 << col_bits)
-        # Bit n-1 on the two halves: the lower half's mask m has as many
-        # members as its row and column bits, the upper half's
-        # m + 2**(n-1) one more. spare ends as H(m + 2**(n-1)) - L(m),
-        # summed whole.
-        for r, p in enumerate(row_counts):
-            h, l, s = held[r], lacked[r], spare[r]
+        for done, r in enumerate(order):
+            # The rows done before this one wait folded in one slot per
+            # set bit of done, so this one takes the slot above them.
+            slot = done.bit_count()
+            slot_rows[slot] = r
+            p = row_counts[r]
+            h, l = held[slot], lacked[slot]
+            # Bit n-1 on the two halves: the lower half's mask m has as
+            # many members as its row and column bits, the upper half's
+            # m + 2**(n-1) one more.
             np.subtract(hi[r], table[0], out=l)
             np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
             l *= rows[p + 2]  # L(m + 2**(n-1))
-            np.subtract(lo[r], table[0], out=s)
-            s *= rows[p + 1]  # L(m)
-            l += s
-            np.subtract(h, s, out=s)
             np.subtract(lo[r], table[0], out=scratch)
+            np.multiply(scratch, rows[p + 1], out=spare)  # L(m)
             scratch *= rows[p]  # H(m)
+            l += spare
+            sums[row_bits, r] = np.subtract(h, spare, out=spare).sum()
             h += scratch
-        h, l, s = held.reshape(-1), lacked.reshape(-1), spare.reshape(-1)
-        out[n - 1] = s.sum()
-        for i in range(n - 2, -1, -1):
+            # Each trailing set bit of done is a slot below whose row
+            # differs from this one in the next lower row bit.
+            bit = row_bits
+            while done & 1:
+                done >>= 1
+                slot -= 1
+                bit -= 1
+                sums[bit, slot_rows[slot]] = np.subtract(
+                    held[slot + 1], lacked[slot], out=spare).sum()
+                held[slot] += held[slot + 1]
+                lacked[slot] += lacked[slot + 1]
+        for b in range(row_bits + 1):
+            out[col_bits + b] = tree_sum(sums[b, : 1 << b])
+        # Row 0 now holds both tables summed over every row bit; the
+        # column bits fold it in place.
+        h, l = held[0], lacked[0]
+        for i in range(col_bits - 1, -1, -1):
             step = 1 << i
-            out[i] = np.subtract(h[step : 2 * step], l[:step], out=s[:step]).sum()
+            out[i] = np.subtract(h[step : 2 * step], l[:step], out=spare[:step]).sum()
             h[:step] += h[step : 2 * step]
             l[:step] += l[step : 2 * step]
     return phi

@@ -78,7 +78,8 @@ class TopKConfig:
         largest entries, ties going to the lower class index. Soft mode at
         k equal to the class count is the identity; leftover shares keep
         exact float64 arithmetic, with no flooring. The identity copies keep
-        raw's memory layout."""
+        raw's memory layout, and the row-sum check adds each row's classes
+        in the order of a C-ordered row's pairwise sum in every layout."""
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 2:
             raise ValueError("batch must be 2-D")
@@ -87,12 +88,12 @@ class TopKConfig:
             return np.copy(raw)
         if (raw < 0).any():
             raise ValueError("probabilities must be non-negative")
-        if (abs(raw.sum(axis=1) - 1.0) > _PROB_ATOL).any():
-            raise ValueError("probability rows must sum to 1")
         c = raw.shape[1]
         k = self.k
         if not 1 <= k <= c:
             raise ValueError(f"k must be in [1, {c}], got {k}")
+        if (abs(_class_major_sum(raw.T) - 1.0) > _PROB_ATOL).any():
+            raise ValueError("probability rows must sum to 1")
         if self.mode == "soft" and k == c:
             return np.copy(raw)
         top = np.argsort(-raw, axis=1, kind="stable")[:, :k]

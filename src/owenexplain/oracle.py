@@ -170,7 +170,8 @@ class VectorGame:
         chunk's others are charged and evaluated as one batch, the batches
         the memo path would send. None is added to the memo. _CHUNK and the
         table's size are powers of two, so every chunk is aligned to its
-        length: a chunk with no memoized coalition is masked into one buffer
+        length, and the memoized coalitions of each are counted once up
+        front: a chunk with no memoized coalition is masked into one buffer
         through BoundMasker.chunk_batch, which rewrites only the cells of
         atoms whose bit changed since the last such chunk, and its outputs
         are copied into the table before the buffer is rewritten. A softmax
@@ -189,24 +190,26 @@ class VectorGame:
         known = np.zeros(size, dtype=bool)
         known[self.memo] = True
         table[:, self.memo] = self._table[self.memo_rows].T
+        memoized = np.bincount(self.memo // _CHUNK, minlength=-(-size // _CHUNK))
         batch, held = None, 0  # the chunk buffer and the chunk it holds
         try:
             for start in range(0, size, _CHUNK):
                 stop = min(start + _CHUNK, size)
-                miss = np.flatnonzero(~known[start:stop]) + start
-                if miss.size and self.ledger is not None:
-                    self.ledger.charge(miss.size, self.tag)
-                if miss.size == stop - start:
-                    batch = self.masker.chunk_batch(start, miss.size, batch, held)
+                misses = stop - start - int(memoized[start // _CHUNK])
+                if misses and self.ledger is not None:
+                    self.ledger.charge(misses, self.tag)
+                if misses == stop - start:
+                    batch = self.masker.chunk_batch(start, misses, batch, held)
                     held = start
                     table[:, start:stop] = checked_outputs(self.model, batch).T
-                elif miss.size:
+                elif misses:
+                    miss = np.flatnonzero(~known[start:stop]) + start
                     table[:, miss] = self.evaluate_misses(miss, memoize=False).T
         except BaseException:
             fresh = np.flatnonzero(~known[:start])
             self._store(fresh, table[:, fresh].T)
             raise
-        self._dense_evals = size - int(np.count_nonzero(known))
+        self._dense_evals = size - len(self.memo)
         self._dense = table
         return table
 

@@ -92,6 +92,30 @@ class TestSoftWrapper:
                 if len(np.flatnonzero(p == p.max())) == 1:
                     assert np.argmax(out) == np.argmax(p)
 
+    @pytest.mark.parametrize("classes", [4, 8, 9, 16, 17])
+    def test_row_sum_check_does_not_depend_on_layout(self, classes):
+        # Rows scaled to sum to about 1 + _PROB_ATOL, so that the check's
+        # verdict turns on the last bit of each sum. Every row the check
+        # passes alone must pass in a class-major batch too, which holds
+        # only if the batch's sums have the C-ordered rows' bits.
+        p = random_prob_vectors(2048, classes, seed=classes)
+        p *= (1.0 + blackbox._PROB_ATOL) / p.sum(axis=1, keepdims=True)
+        topk = TopKConfig(mode="soft", k=1)
+        kept = []
+        for row in p:
+            try:
+                topk.apply_batch(row[None, :])
+            except ValueError:
+                continue
+            kept.append(row)
+        rows = np.array(kept)
+        assert 0 < len(rows) < len(p)
+        class_major = np.asfortranarray(rows)
+        assert class_major.T.flags.c_contiguous
+        sums = [blackbox._class_major_sum(batch.T) for batch in (rows, class_major)]
+        assert sums[0].tobytes() == sums[1].tobytes() == rows.sum(axis=1).tobytes()
+        assert topk.apply_batch(class_major).tobytes() == topk.apply_batch(rows).tobytes()
+
 
 class TestHardWrapper:
     def test_top1_one_hot(self):

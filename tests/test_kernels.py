@@ -1,10 +1,13 @@
 """The numpy kernels: blur, batch masking and subset-table Shapley."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from owenexplain import MaskerSpec, VictimSpec, _kernels, build_atom_grid, make_rng, make_victim
-from owenexplain.oracle import ClassGame, VectorGame
+from owenexplain.oracle import ClassGame, VectorGame, exact_shapley
 
 
 def rng():
@@ -186,6 +189,20 @@ class TestPureKernels:
         dot_err = np.abs(dot_shapley(table + 1e6, n) - exact).max()
         assert err <= dot_err * (1 + 1e-4)
 
+    def test_shapley_table_works_in_row_buffers(self):
+        # Four 20-atom tables in one call: the kernel's live state is a
+        # stack of half-table rows and its weight rows, about 1.5 MB, and
+        # no buffer spans a 4 MB half table.
+        tables = rng().uniform(-1, 1, (4, 1 << 20))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _kernels.shapley_from_table(tables, 20)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_shapley_table_bits_are_pinned(self):
         # A table of exactly rounded quotients of integers, so it is the
         # same on every platform; the values then pin numpy's pairwise
@@ -299,6 +316,25 @@ def test_full_table_is_a_read_only_row_of_the_class_major_table():
         with pytest.raises(ValueError):
             table[0] = 0.0
     assert dense.flags.writeable
+
+
+def test_dense_table_dies_with_its_game():
+    # With the cyclic collector off, only reference counts free the table:
+    # a reference cycle through a view of it (say, a self-referring closure
+    # in the kernel) would keep every table alive until a collection.
+    spec = VictimSpec(kind="linear_softmax", seed=4, num_classes=3, input_shape=(12,))
+    masker = MaskerSpec(grid=build_atom_grid((12,), (1,)), fill="mean")
+    game = VectorGame(make_victim(spec), make_rng(4).uniform(0.0, 1.0, 12), masker)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        exact_shapley(ClassGame(game, 1))
+        table = weakref.ref(game.dense_table())
+        del game
+        assert table() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_import_ignores_backend_variable():
