@@ -190,14 +190,26 @@ class VictimSpec:
     input_cap: float = 1.0
 
     def __post_init__(self):
+        """Check every field the kind reads; an empty group_sizes or
+        class_bias means none, as None does."""
         if self.kind not in VICTIM_KINDS:
             raise ValueError(f"unknown victim kind {self.kind!r}")
         object.__setattr__(self, "input_shape", check_shape(self.input_shape))
+        object.__setattr__(self, "group_sizes", self.group_sizes or None)
+        object.__setattr__(self, "class_bias", self.class_bias or None)
+        n = math.prod(self.input_shape)
         if self.num_classes < 2:
             raise ValueError("victims need at least 2 classes")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        sizes, bias = self.group_sizes, self.class_bias
+        if self.kind == "dead_feature" and not 0 <= self.dead_index < n:
+            raise ValueError("dead feature index outside the input")
+        if self.kind == "group_symmetric" and sizes and (sum(sizes) != n or min(sizes) < 1):
+            raise ValueError("group sizes must be positive and cover the input")
         if self.kind == "quadrant_bright":
+            if bias and len(bias) != self.num_classes:
+                raise ValueError("class_bias length must equal num_classes")
             cells = np.bincount(
                 class_regions(self.input_shape, self.num_classes), minlength=self.num_classes
             )
@@ -318,8 +330,6 @@ class QuadrantBrightVictim(Model):
         member[regions, np.arange(n)] = 1.0
         self.region_mean = member / member.sum(axis=1, keepdims=True)
         if spec.class_bias is not None:
-            if len(spec.class_bias) != spec.num_classes:
-                raise ValueError("class_bias length must equal num_classes")
             self.bias = np.asarray(spec.class_bias, dtype=np.float64)
         else:
             self.bias = np.zeros(spec.num_classes)
@@ -350,8 +360,6 @@ class GroupSymmetricVictim(Model):
             g = min(4, n)
             bounds = [i * n // g for i in range(g + 1)]
             sizes = tuple(bounds[i + 1] - bounds[i] for i in range(g))
-        if sum(sizes) != n or any(s < 1 for s in sizes):
-            raise ValueError("group sizes must be positive and cover the input")
         self.group_sizes = tuple(int(s) for s in sizes)
         groups = np.repeat(np.arange(len(sizes)), sizes)
         member = np.zeros((len(sizes), n), dtype=np.float64)

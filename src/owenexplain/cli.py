@@ -16,8 +16,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .blackbox import VICTIM_KINDS, ModelOutputError, make_victim
-from .core import ConfigError, QueryLedger, build_partition_tree, derive_seed, make_rng
-from .explainer import BudgetTooSmall, ExplainConfig, explain, explain_all_classes
+from .core import ConfigError, QueryLedger, derive_seed, make_rng
+from .explainer import BudgetTooSmall, explain, explain_all_classes
 from .masking import FILL_KINDS
 from .objectives import normalize_shap
 from .extraction import run_extraction
@@ -124,7 +124,7 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _load_input(args, cfg, victim) -> np.ndarray:
+def _load_input(args, seed: int, victim) -> np.ndarray:
     if getattr(args, "input", None):
         data, shape = read_tensor(args.input)
         if shape != victim.input_shape:
@@ -134,54 +134,35 @@ def _load_input(args, cfg, victim) -> np.ndarray:
         return data
     if not getattr(args, "random", False):
         raise ConfigError("provide --input PATH or --random")
-    rng = make_rng(derive_seed(int(cfg["seed"]), "input"))
+    rng = make_rng(derive_seed(seed, "input"))
     return rng.uniform(0.0, 1.0, victim.n_cells)
-
-
-def _classes_arg(text: str, num_classes: int):
-    if text == "all":
-        return "all"
-    try:
-        cls = int(text)
-    except ValueError:
-        raise ConfigError(f"classes must be all or a class index, got {text!r}") from None
-    if not 0 <= cls < num_classes:
-        raise ConfigError(f"class {cls} outside [0, {num_classes})")
-    return cls
 
 
 def cmd_explain(args) -> int:
     cfg = _resolve(args)
-    victim = make_victim(cfgmod.victim_from_config(cfg))
-    x = _load_input(args, cfg, victim)
+    spec = cfgmod.victim_from_config(cfg)
+    victim = make_victim(spec)
+    x = _load_input(args, spec.seed, victim)
     masker = cfgmod.masker_from_config(cfg, victim.input_shape)
-    tree = build_partition_tree(masker.grid)
-    target = _classes_arg(str(cfg["explainer"]["classes"]), victim.num_classes)
-    ex_cfg = ExplainConfig(
-        masker=masker,
-        tree=tree,
-        max_evals=cfg["explainer"]["max_evals"],
-        target=target,
-        order=cfg["explainer"]["order"],
-    )
+    ex_cfg = cfgmod.explainer_from_config(cfg, masker, victim.num_classes)
     ledger = QueryLedger(budget=None)
-    seed = int(cfg["seed"])
     shape, block = victim.input_shape, masker.grid.block
-    if target == "all":
+    if ex_cfg.target == "all":
         attrs = explain_all_classes(x, victim, ex_cfg, ledger)
     else:
         attrs = [explain(x, victim, ex_cfg, ledger)]
     if args.normalize:
         attrs = [normalize_shap(a) for a in attrs]
-    payloads = [attribution_payload(a, shape, block, seed) for a in attrs]
-    dump_json(args.out, payloads if target == "all" else payloads[0])
+    payloads = [attribution_payload(a, shape, block, spec.seed) for a in attrs]
+    dump_json(args.out, payloads if ex_cfg.target == "all" else payloads[0])
     return 0
 
 
 def cmd_oracle(args) -> int:
     cfg = _resolve(args)
-    victim = make_victim(cfgmod.victim_from_config(cfg))
-    x = _load_input(args, cfg, victim)
+    spec = cfgmod.victim_from_config(cfg)
+    victim = make_victim(spec)
+    x = _load_input(args, spec.seed, victim)
     masker = cfgmod.masker_from_config(cfg, victim.input_shape)
     n_atoms = masker.grid.atom_count
     groups = None
@@ -192,13 +173,9 @@ def cmd_oracle(args) -> int:
         if not args.groups:
             raise ConfigError(f"oracle {args.engine} needs --groups")
         groups = _parse_groups(args.groups)
-        try:
-            check_partition(groups, n_atoms)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    target = _classes_arg(str(args.classes), victim.num_classes)
+        cfgmod.checked(check_partition, groups, n_atoms)
+    target = cfgmod.class_target(args.classes, victim.num_classes)
     classes = list(range(victim.num_classes)) if target == "all" else [target]
-    seed = int(cfg["seed"])
     payloads = []
     shared = VectorGame(victim, x, masker)
     for cls in classes:
@@ -212,7 +189,7 @@ def cmd_oracle(args) -> int:
         if args.normalize:
             attr = normalize_shap(attr)
         payloads.append(
-            attribution_payload(attr, victim.input_shape, masker.grid.block, seed)
+            attribution_payload(attr, victim.input_shape, masker.grid.block, spec.seed)
         )
     dump_json(args.out, payloads if target == "all" else payloads[0])
     return 0
@@ -250,9 +227,7 @@ def cmd_extract(args) -> int:
     if labels == "hard" or (labels == "soft" and "topk.mode" not in opts):
         opts["topk.mode"] = labels
     cfg = _resolve(args)
-    masker = cfgmod.masker_from_config(cfg, tuple(cfg["victim"]["input_shape"]))
-    ex_cfg = cfgmod.extraction_from_config(cfg, masker)
-    report = run_extraction(ex_cfg)
+    report = run_extraction(cfgmod.extraction_from_config(cfg))
     dump_csv(
         args.out,
         ["round", "queries_cum", "agreement", "min_class_count", "max_class_count",

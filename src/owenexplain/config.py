@@ -1,16 +1,24 @@
 """Run configuration: a strict JSON document with defaulted sections that
-CLI flags override. Unknown keys are rejected so configs cannot drift."""
+CLI flags override. Unknown keys are rejected so configs cannot drift.
+
+_TABLE names each key once, with its default, and a key takes its
+default's type (see _as); DEFAULTS is the table's defaults. Each builder
+casts the sections it reads, builds its specs from the values their fields
+name, and raises every failure as ConfigError (CLI exit code 2), naming
+the key where a value is of none of its types."""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .blackbox import TopKConfig, VictimSpec
-from .core import ConfigError, build_atom_grid, check_shape
+from .core import ConfigError, build_atom_grid, build_partition_tree
+from .explainer import BudgetTooSmall, ExplainConfig
 from .extraction import ExtractionConfig, ProbeConfig, TrainConfig
 from .masking import MaskerSpec
 from .objectives import ObjectiveWeights
@@ -24,7 +32,9 @@ from .tensorio import read_tensor
 
 SCHEMA_VERSION = "1"
 
-DEFAULTS: dict = {
+# Section -> key -> default. A key takes its default's type (see _as); a
+# (default, other) pair also takes the type named `other`.
+_TABLE: dict = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
     "victim": {
@@ -34,13 +44,15 @@ DEFAULTS: dict = {
         "weight_scale": 1.0,
         "temperature": 1.0,
         "dead_index": 0,
-        "group_sizes": None,
-        "class_bias": None,
+        "group_sizes": (None, "list of int"),
+        "class_bias": (None, "list of float"),
         "input_cap": 1.0,
     },
-    "topk": {"mode": "all", "k": None},
-    "masker": {"fill": "blur", "sigma": None, "baseline_path": None, "block": None},
-    "explainer": {"max_evals": 128, "order": "priority_abs", "classes": "all"},
+    "topk": {"mode": "all", "k": (None, "int")},
+    "masker": {"fill": "blur", "sigma": (None, "float"), "baseline_path": (None, "str"),
+               "block": (None, "list of int")},
+    # max_evals null means unlimited; classes is "all" or a class index.
+    "explainer": {"max_evals": (128, "null"), "order": "priority_abs", "classes": ("all", "int")},
     "synthesis": {
         "target_class": 0,
         "alpha": 1.0,
@@ -69,13 +81,19 @@ DEFAULTS: dict = {
     },
 }
 
+# The document every run starts from: _TABLE without its second types.
+DEFAULTS: dict = {name: {k: e[0] if isinstance(e, tuple) else e for k, e in keys.items()}
+                  if isinstance(keys, dict) else keys for name, keys in _TABLE.items()}
+
 
 def _merge_strict(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {path + key!r} must be an object")
             out[key] = _merge_strict(base[key], value, f"{path}{key}.")
         else:
             out[key] = value
@@ -103,115 +121,121 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def default_block(input_shape: tuple[int, ...]) -> list[int]:
-    if len(input_shape) == 1:
-        return [1]
-    return [3] * len(input_shape)
+def _as(kind: str, value):
+    """value as kind: "int" is an integer, a float without a fractional part
+    or an integer string, never a bool; "float" is what float() takes; "str"
+    and "null" are themselves; "list of <kind>" casts each entry. Else
+    TypeError or ValueError."""
+    if kind.startswith("list of ") and isinstance(value, (list, tuple)):
+        return tuple(_as(kind.removeprefix("list of "), v) for v in value)
+    if kind == "null" and value is None or kind == "str" and isinstance(value, str):
+        return value
+    if kind == "float":
+        return float(value)
+    fractional = isinstance(value, float) and not value.is_integer()
+    if kind == "int" and not isinstance(value, bool) and not fractional:
+        return int(value)
+    raise TypeError
+
+
+def _kind(default) -> str:
+    if isinstance(default, list):
+        return "list of " + _kind(default[0])
+    return "null" if default is None else type(default).__name__
+
+
+def _cast(key: str, value, entry):
+    """value cast to one of config key `key`'s kinds, in order."""
+    kinds = [_kind(entry[0]), entry[1]] if isinstance(entry, tuple) else [_kind(entry)]
+    for kind in kinds:
+        try:
+            return _as(kind, value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config key {key!r}: expected {' or '.join(kinds)}, got {value!r}")
+
+
+def _section(cfg: dict, name: str) -> dict:
+    return {key: _cast(f"{name}.{key}", v, _TABLE[name][key]) for key, v in cfg[name].items()}
+
+
+def _seed(cfg: dict) -> int:
+    return _cast("seed", cfg["seed"], _TABLE["seed"])
+
+
+def checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), a ValueError it raises as ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetTooSmall:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _spec(cls, values: dict, **given):
+    """cls from the values its fields name, and `given`, through checked."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return checked(cls, **({k: v for k, v in values.items() if k in names} | given))
+
+
+def class_target(value, num_classes: int):
+    """"all", or a class index in [0, num_classes) as a number or a string."""
+    if value == "all":
+        return "all"
+    try:
+        cls = int(value)
+    except ValueError:
+        raise ConfigError(f"classes must be all or a class index, got {value!r}") from None
+    if not 0 <= cls < num_classes:
+        raise ConfigError(f"class {cls} outside [0, {num_classes})")
+    return cls
 
 
 def victim_from_config(cfg: dict) -> VictimSpec:
-    v = cfg["victim"]
-    try:
-        return VictimSpec(
-            kind=v["kind"],
-            seed=int(cfg["seed"]),
-            num_classes=int(v["num_classes"]),
-            input_shape=tuple(v["input_shape"]),
-            weight_scale=float(v["weight_scale"]),
-            temperature=float(v["temperature"]),
-            dead_index=int(v["dead_index"]),
-            group_sizes=tuple(v["group_sizes"]) if v["group_sizes"] else None,
-            class_bias=tuple(v["class_bias"]) if v["class_bias"] else None,
-            input_cap=float(v["input_cap"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def topk_from_config(cfg: dict) -> TopKConfig:
-    t = cfg["topk"]
-    try:
-        return TopKConfig(mode=t["mode"], k=None if t["k"] is None else int(t["k"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _spec(VictimSpec, _section(cfg, "victim"), seed=_seed(cfg))
 
 
 def masker_from_config(cfg: dict, input_shape: tuple[int, ...]) -> MaskerSpec:
-    m = cfg["masker"]
-    shape = check_shape(input_shape)
-    block = m["block"] if m["block"] is not None else default_block(shape)
-    try:
-        grid = build_atom_grid(shape, block)
-        baseline = None
-        if m["fill"] == "baseline":
-            if m["baseline_path"] is None:
-                baseline = np.zeros(grid.n_cells)
-            else:
-                baseline, base_shape = read_tensor(m["baseline_path"])
-                if base_shape != shape:
-                    raise ConfigError("baseline tensor shape mismatch")
-        return MaskerSpec(
-            grid=grid,
-            fill=m["fill"],
-            sigma=None if m["sigma"] is None else float(m["sigma"]),
-            baseline=baseline,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    m = _section(cfg, "masker")
+    block = m["block"] or (1 if len(input_shape) == 1 else 3,) * len(input_shape)
+    grid = checked(build_atom_grid, input_shape, block)
+    baseline = None
+    if m["fill"] == "baseline":
+        if m["baseline_path"] is None:
+            baseline = np.zeros(grid.n_cells)
+        else:
+            baseline, base_shape = checked(read_tensor, m["baseline_path"])
+            if base_shape != input_shape:
+                raise ConfigError("baseline tensor shape mismatch")
+    return _spec(MaskerSpec, m, grid=grid, baseline=baseline)
+
+
+def explainer_from_config(cfg: dict, masker: MaskerSpec, num_classes: int) -> ExplainConfig:
+    e = _section(cfg, "explainer")
+    return _spec(ExplainConfig, e, masker=masker, tree=build_partition_tree(masker.grid),
+                 target=class_target(e["classes"], num_classes))
 
 
 def synth_from_config(cfg: dict, masker: MaskerSpec) -> SynthConfig:
-    s = cfg["synthesis"]
-    try:
-        return SynthConfig(
-            target_class=int(s["target_class"]),
-            masker=masker,
-            weights=ObjectiveWeights(alpha=float(s["alpha"]), beta=float(s["beta"])),
-            schedule=parse_schedule(s["schedule"], s["after_end"]),
-            search=SearchParams(
-                population=int(s["population"]),
-                mutation_rate=float(s["mutation_rate"]),
-                mutation_scale=float(s["mutation_scale"]),
-                steps=int(s["steps"]),
-            ),
-            seed=int(cfg["seed"]),
-            clamp=(float(s["clamp"][0]), float(s["clamp"][1])),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    s = _section(cfg, "synthesis")
+    schedule = checked(parse_schedule, s["schedule"], s["after_end"])
+    return _spec(SynthConfig, s, masker=masker, weights=_spec(ObjectiveWeights, s),
+                 schedule=schedule, search=_spec(SearchParams, s), seed=_seed(cfg))
 
 
-def extraction_from_config(cfg: dict, masker: MaskerSpec) -> ExtractionConfig:
-    e = cfg["extraction"]
+def extraction_from_config(cfg: dict) -> ExtractionConfig:
+    e = _section(cfg, "extraction")
     victim = victim_from_config(cfg)
-    labels = e["labels"]
-    if labels not in {"soft", "hard"}:
+    if e["labels"] not in {"soft", "hard"}:
         raise ConfigError("extraction labels must be soft or hard")
-    topk = topk_from_config(cfg)
-    if labels == "hard" and topk.mode != "hard":
+    topk = _spec(TopKConfig, _section(cfg, "topk"))
+    if e["labels"] == "hard" and topk.mode != "hard":
         raise ConfigError("hard labels need topk.mode = hard")
-    try:
-        return ExtractionConfig(
-            victim=victim,
-            topk=topk,
-            masker=masker,
-            query_budget=int(e["query_budget"]),
-            rounds=int(e["rounds"]),
-            mode=e["mode"],
-            samples_per_class=int(e["samples_per_class"]),
-            synth=synth_from_config(cfg, masker),
-            train=TrainConfig(
-                lr=float(e["lr"]),
-                epochs_per_round=int(e["epochs_per_round"]),
-                minibatch=int(e["minibatch"]),
-            ),
-            probe=ProbeConfig(
-                n_probe=int(e["n_probe"]),
-                seed=int(e["probe_seed"]),
-                kind=e["probe_kind"],
-                boost=float(e["probe_boost"]),
-            ),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    masker = masker_from_config(cfg, victim.input_shape)
+    # ProbeConfig's fields are extraction keys without their probe_ prefix,
+    # so its seed is never the run seed.
+    probe = {key.removeprefix("probe_"): v for key, v in e.items()}
+    return _spec(ExtractionConfig, e, victim=victim, topk=topk, masker=masker,
+                 synth=synth_from_config(cfg, masker), train=_spec(TrainConfig, e),
+                 probe=_spec(ProbeConfig, probe), seed=victim.seed)

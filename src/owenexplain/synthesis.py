@@ -111,9 +111,8 @@ class SynthConfig:
     clamp: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        lo, hi = self.clamp
-        if not lo < hi:
-            raise ValueError("clamp range must satisfy lo < hi")
+        if len(self.clamp) != 2 or not self.clamp[0] < self.clamp[1]:
+            raise ValueError(f"clamp must be a pair lo < hi, got {self.clamp}")
 
 
 @dataclass

@@ -192,6 +192,30 @@ class TestVictims:
         with pytest.raises(ValueError, match=f"leaves class {empty} of {classes} without cells"):
             VictimSpec(kind="quadrant_bright", seed=0, num_classes=classes, input_shape=shape)
 
+    # Each field is checked when the spec is built, for the kind that reads
+    # it only; the other kinds ignore it.
+    @pytest.mark.parametrize("kind, field, message", [
+        ("dead_feature", {"dead_index": 99}, "dead feature index outside the input"),
+        ("dead_feature", {"dead_index": -1}, "dead feature index outside the input"),
+        ("quadrant_bright", {"class_bias": (0.1,)}, "class_bias length must equal num_classes"),
+        ("group_symmetric", {"group_sizes": (5, 5)}, "group sizes must be positive and cover"),
+        ("group_symmetric", {"group_sizes": (0, 36)}, "group sizes must be positive and cover"),
+    ], ids=["dead-index-99", "dead-index-negative", "class-bias", "group-sizes-short",
+            "group-size-zero"])
+    def test_field_checked_at_construction(self, kind, field, message):
+        with pytest.raises(ValueError, match=message):
+            VictimSpec(kind=kind, seed=0, num_classes=4, input_shape=(6, 6), **field)
+        VictimSpec(kind="linear_softmax", seed=0, num_classes=4, input_shape=(6, 6), **field)
+
+    @pytest.mark.parametrize("field", ["group_sizes", "class_bias"])
+    def test_empty_tuple_means_none(self, field):
+        kind = "group_symmetric" if field == "group_sizes" else "quadrant_bright"
+        spec = VictimSpec(kind=kind, seed=0, num_classes=4, input_shape=(6, 6), **{field: ()})
+        assert getattr(spec, field) is None
+        x = make_rng(2).uniform(0, 1, (3, 36))
+        default = VictimSpec(kind=kind, seed=0, num_classes=4, input_shape=(6, 6))
+        assert make_victim(spec).evaluate(x).tobytes() == make_victim(default).evaluate(x).tobytes()
+
 
 def reference_softmax(logits):
     """The row softmax written with per-row reductions along axis 1."""

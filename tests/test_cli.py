@@ -16,6 +16,27 @@ from owenexplain.synthesis import SearchParams
 from owenexplain.tensorio import read_tensor, write_tensor
 
 
+# What explain --random --emit-config writes when no other flag is given.
+RESOLVED_DEFAULTS = {
+    "schema_version": "1",
+    "seed": 0,
+    "victim": {"kind": "linear_softmax", "num_classes": 4, "input_shape": [6, 6],
+               "weight_scale": 1.0, "temperature": 1.0, "dead_index": 0, "group_sizes": None,
+               "class_bias": None, "input_cap": 1.0},
+    "topk": {"mode": "all", "k": None},
+    "masker": {"fill": "blur", "sigma": None, "baseline_path": None, "block": None},
+    "explainer": {"max_evals": 128, "order": "priority_abs", "classes": "all"},
+    "synthesis": {"target_class": 0, "alpha": 1.0, "beta": 1.0,
+                  "schedule": "0:500:128,500:1000:64,1000:1500:32", "after_end": "freeze_shap",
+                  "population": 4, "mutation_rate": 0.1, "mutation_scale": 0.25, "steps": 100,
+                  "clamp": [0.0, 1.0]},
+    "extraction": {"mode": "guided", "labels": "soft", "query_budget": 5000, "rounds": 4,
+                   "samples_per_class": 1, "lr": 0.5, "epochs_per_round": 20, "minibatch": 64,
+                   "n_probe": 256, "probe_seed": 17, "probe_kind": "uniform",
+                   "probe_boost": 0.6},
+}
+
+
 def run(*argv) -> int:
     return main(list(argv))
 
@@ -350,6 +371,67 @@ class TestConfigHandling:
         assert run("explain", "--config", str(emitted), "--random", "--classes", "0",
                    "--max-evals", "12", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--victim", "quadrant_bright", "--seed", "5", "--target-class", "1",
+         "--schedule", "0:4:16,4:8:8", "--steps", "8"],
+        ["extract", "--victim", "quadrant_bright", "--seed", "2", "--mode", "guided",
+         "--budget", "120", "--rounds", "2", "--labels", "soft", "--topk", "1"],
+    ], ids=["synth", "extract"])
+    def test_emit_config_roundtrip_from_the_file_alone(self, tmp_path, argv):
+        emitted = tmp_path / "resolved.json"
+        out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+        assert run(*argv, "--emit-config", str(emitted), "--out", str(out1)) == 0
+        assert run(argv[0], "--config", str(emitted), "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_resolved_default_document(self, tmp_path):
+        emitted = tmp_path / "resolved.json"
+        assert run("explain", "--random", "--emit-config", str(emitted),
+                   "--out", str(tmp_path / "o.json")) == 0
+        assert emitted.read_text() == json.dumps(RESOLVED_DEFAULTS, sort_keys=True, indent=2) + "\n"
+
+    # Each document fails before any output with one error line. Where the
+    # key's type rejects the value, the message names the key.
+    @pytest.mark.parametrize("command, doc, message", [
+        ("explain", {"victim": {"num_classes": [4]}}, "config key 'victim.num_classes'"),
+        ("explain", {"victim": 5}, "config section 'victim'"),
+        ("explain", {"victim": {"input_shape": 6}}, "config key 'victim.input_shape'"),
+        ("explain", {"victim": {"group_sizes": 3, "kind": "group_symmetric"}},
+         "config key 'victim.group_sizes'"),
+        ("explain", {"explainer": {"order": "bogus"}}, "order must be one of"),
+        ("explain", {"explainer": {"max_evals": "abc"}}, "config key 'explainer.max_evals'"),
+        ("extract", {"extraction": {"rounds": None}}, "config key 'extraction.rounds'"),
+        ("extract", {"victim": {"input_shape": [0]}}, "shape dims must be >= 1"),
+        ("synth", {"synthesis": {"clamp": [1]}}, "clamp must be a pair lo < hi"),
+        ("synth", {"synthesis": {"clamp": 0.5}}, "config key 'synthesis.clamp'"),
+        ("synth", {"synthesis": {"schedule": 5}}, "config key 'synthesis.schedule'"),
+        ("explain", {"victim": {"num_classes": 4.7}}, "config key 'victim.num_classes'"),
+        ("explain", {"victim": {"input_shape": [6.5, 6]}}, "config key 'victim.input_shape'"),
+        ("explain", {"seed": 1.5}, "config key 'seed'"),
+        ("explain", {"seed": True}, "config key 'seed'"),
+        ("explain", {"victim": {"kind": "dead_feature", "dead_index": 99}},
+         "dead feature index outside the input"),
+        ("explain", {"victim": {"kind": "quadrant_bright", "class_bias": [0.1]}},
+         "class_bias length must equal num_classes"),
+        ("explain", {"victim": {"kind": "group_symmetric", "group_sizes": [5, 5]}},
+         "group sizes must be positive and cover the input"),
+        ("extract", {"topk": None}, "config section 'topk'"),
+    ], ids=["num-classes-list", "victim-number", "input-shape-number", "group-sizes-number",
+            "order", "max-evals-string", "rounds-null", "input-shape-zero", "clamp-short",
+            "clamp-number", "schedule-number", "num-classes-fractional",
+            "input-shape-fractional", "seed-fractional", "seed-bool", "dead-index",
+            "class-bias", "group-sizes", "topk-null"])
+    def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc, message):
+        cfg, out = tmp_path / "c.json", tmp_path / "o.out"
+        cfg.write_text(json.dumps(doc))
+        flags = {"explain": ["--random"], "synth": ["--steps", "2"],
+                 "extract": ["--mode", "random", "--budget", "200"]}[command]
+        assert run(command, "--config", str(cfg), *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_schema_version(self, tmp_path):
         cfg = tmp_path / "c.json"
