@@ -2,19 +2,24 @@
 and subset-table Shapley accumulation.
 
 The blur accumulates its taps in ascending-offset order. The Shapley
-kernel is one O(2**n) fold on the caller's thread: it weights the
-centred table once by coalition size into a holding and a lacking table
-and takes the bits from the top, reading each atom's value off the two
-tables' halves and adding each table's upper half onto its lower. The
-half table is held as rows of at least 128 entries: they are weighed in
-bit-reversed order and folded over the row bits depth-first, each pair
-as soon as both rows exist, so the live state is a stack of rows small
-enough to stay in cache (about 1 MB at n = 20). Each reduction is
-numpy's own pairwise sum over a 1-D row, and the row sums of a fold
-level are added as a binary tree in ascending row order: numpy splits a
-power-of-two buffer at exact halves down to 128-entry blocks, so these
-are the operands and pairs of one sum over the whole buffer, and its
-bits. They do not depend on BLAS or its thread count.
+kernel is one O(2**n) fold on the caller's thread (shapley_fold): it
+weights the centred table once by coalition size into a holding and a
+lacking table and takes the bits from the top, reading each atom's value
+off the two tables' halves and adding each table's upper half onto its
+lower. The half table is read as rows of at least 2**CHUNK_BITS entries
+(row_split; below 13 atoms one row is the whole half table), a row of the
+lower half and its twin in the upper half at a time, from a source: a
+table's rows (table_pairs, which shapley_from_table folds one class at a
+time), or coalitions evaluated as the fold asks for them. The rows are
+weighed in bit-reversed order and folded over the row bits depth-first,
+each pair as soon as both rows exist, so the live state is a stack of
+rows small enough to stay in cache (about 1 MB a class at n = 20), and
+no buffer spans the table. Each reduction is numpy's own pairwise sum
+along one class's row, and the row sums of a fold level are added as a
+binary tree in ascending row order: numpy splits a power-of-two buffer at
+exact halves down to 128-entry blocks, so with rows of at least 128
+entries these are the operands and pairs of one sum over the whole
+buffer, and its bits. They do not depend on BLAS or its thread count.
 """
 
 from __future__ import annotations
@@ -95,13 +100,38 @@ def bit_reversed(bits: int) -> np.ndarray:
     return order
 
 
-def tree_sum(terms: np.ndarray) -> float:
-    """Sum of a power-of-two number of terms as a balanced binary tree in
-    ascending order: the order numpy's pairwise sum gives a buffer whose
-    blocks sum to these terms."""
+def tree_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of a power-of-two number of terms, along the first axis, as a
+    balanced binary tree in ascending order: the order numpy's pairwise sum
+    gives a buffer whose blocks sum to these terms."""
     while len(terms) > 1:
         terms = terms[0::2] + terms[1::2]
     return terms[0]
+
+
+# A row of the Shapley fold's half table keeps at least 2**CHUNK_BITS
+# entries (the whole half table below 13 atoms), and the exact-Shapley
+# stream evaluates its coalitions in aligned chunks of 2**CHUNK_BITS masks,
+# so a row pair holds whole chunks.
+CHUNK_BITS = 12
+
+
+def row_split(n: int) -> tuple[int, int]:
+    """(row_bits, col_bits) of an n-atom game's half table, n >= 1: its
+    masks m < 2**(n-1) form 2**row_bits rows of 2**col_bits columns. A
+    third of the bits as row bits keeps both the row loop and the weight
+    rows short, but a row keeps at least 2**CHUNK_BITS columns, or all of
+    them: at least 128, which the fold's sums need."""
+    col_bits = max(n - 1 - (n - 1) // 3, min(n - 1, CHUNK_BITS))
+    return n - 1 - col_bits, col_bits
+
+
+def table_pairs(tables: np.ndarray, n: int):
+    """shapley_fold's source over (classes, 2**n) tables: pairs(r) is row r
+    of each table's lower half and its twin in the upper half."""
+    row_bits, col_bits = row_split(n)
+    halves = tables.reshape(len(tables), 2, 1 << row_bits, 1 << col_bits)
+    return lambda r: (halves[:, 0, r], halves[:, 1, r])
 
 
 def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
@@ -109,8 +139,8 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
 
     values[mask] is the game value of the coalition whose members are the
     set bits of mask. A (classes, 2**n) array of tables gives (classes, n)
-    values: the tables are taken one at a time through the same row
-    buffers, so each gets the bits it gets alone.
+    values: the tables are folded one at a time, each through table_pairs,
+    so the fold's stack spans one class.
     """
     size = 1 << n
     values = np.asarray(values, dtype=np.float64)
@@ -119,6 +149,23 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     phi = np.empty(values.shape[:-1] + (n,), dtype=np.float64)
     if n == 0:
         return phi
+    for table, out in zip(values.reshape(-1, size), phi.reshape(-1, n)):
+        out[:] = shapley_fold(table_pairs(table[None], n), n, 1)[0][0]
+    return phi
+
+
+def shapley_fold(pairs, n: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, n) exact Shapley values and (classes,) base values of
+    n-atom games, n >= 1, read row pair by row pair from a source.
+
+    With (row_bits, col_bits) = row_split(n), pairs(r) returns (lo, hi),
+    each (classes, 2**col_bits): the values of the masks r * 2**col_bits +
+    j and, in hi, those masks plus 2**(n-1). It is called once for each r
+    in bit_reversed(row_bits), which starts at row 0, so the base value is
+    lo[:, 0] of the first pair. The fold reads each pair before it asks for
+    the next, so a source may reuse its buffers. Each class gets the bits
+    it gets alone.
+    """
     # With c = values - values[0] and w(s) = s!(n-s-1)!/n!, atom i gets
     #   sum over T holding i of H(T) - sum over S lacking i of L(S),
     # H(T) = w(|T|-1) c(T) and L(S) = w(|S|) c(S): each atom's weights sum
@@ -131,73 +178,72 @@ def shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     # Weights by size, shifted by one: padded[s + 1] = w(s), and 0 for the
     # empty holding coalition and the full lacking one.
     padded = np.concatenate(([0.0], shapley_weights(n), [0.0]))
-    # The half-table's masks m < 2**(n-1) form a (2**row_bits, 2**col_bits)
-    # grid. A row whose index has p set bits takes the weights rows[p +
-    # shift], so no weight array spans the table. A third of the bits as
-    # row bits keeps both the row loop and the weight rows short, but a
-    # row keeps at least 128 columns (below n = 9, one row): see the sums.
-    col_bits = max(n - 1 - (n - 1) // 3, min(n - 1, 7))
-    row_bits = n - 1 - col_bits
+    # A row whose index has p set bits takes the weights rows[p + shift],
+    # so no weight array spans the half table.
+    row_bits, col_bits = row_split(n)
     counts = popcounts(col_bits)
     rows = np.stack([padded[p + counts] for p in range(row_bits + 3)])
     row_counts = popcounts(row_bits)
     # The row bits are folded depth-first, so no buffer spans the half
     # table: rows are weighed in bit-reversed order, and two rows that
     # differ in row bit b are folded as soon as both are done. Held and
-    # lacked rows wait on a stack of row_bits + 1 slots, the rows that
-    # differ in bit b one slot above the rows they fold onto, and each
-    # slot keeps its fold in cache.
-    order = bit_reversed(row_bits)
-    held, lacked = np.empty((2, row_bits + 1, 1 << col_bits))
-    spare, scratch = np.empty((2, 1 << col_bits))
+    # lacked rows of every class wait on a stack of row_bits + 1 slots,
+    # the rows that differ in bit b one slot above the rows they fold
+    # onto, and each slot keeps its fold in cache.
+    held, lacked = np.empty((2, row_bits + 1, classes, 1 << col_bits))
+    spare, scratch = np.empty((2, classes, 1 << col_bits))
     slot_rows = np.empty(row_bits + 1, dtype=np.intp)
-    # sums[b, r] is row r's sum for bit col_bits + b (b = row_bits is bit
-    # n-1). numpy's pairwise sum of a power-of-two buffer splits it at
+    # sums[b, r] is row r's sums for bit col_bits + b (b = row_bits is bit
+    # n-1), one per class, each numpy's pairwise sum along one class's
+    # row. numpy's pairwise sum of a power-of-two buffer splits it at
     # exact halves down to 128-element blocks, so with rows of at least
     # 128 elements a whole-buffer sum is the tree of its row sums in
     # ascending order: tree_sum adds the same operands in the same pairs
     # as the whole-buffer sums of the unblocked fold, and gives its bits.
-    sums = np.empty((row_bits + 1, 1 << row_bits))
-    for table, out in zip(values.reshape(-1, size), phi.reshape(-1, n)):
-        lo, hi = table.reshape(2, 1 << row_bits, 1 << col_bits)
-        for done, r in enumerate(order):
-            # The rows done before this one wait folded in one slot per
-            # set bit of done, so this one takes the slot above them.
-            slot = done.bit_count()
-            slot_rows[slot] = r
-            p = row_counts[r]
-            h, l = held[slot], lacked[slot]
-            # Bit n-1 on the two halves: the lower half's mask m has as
-            # many members as its row and column bits, the upper half's
-            # m + 2**(n-1) one more.
-            np.subtract(hi[r], table[0], out=l)
-            np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
-            l *= rows[p + 2]  # L(m + 2**(n-1))
-            np.subtract(lo[r], table[0], out=scratch)
-            np.multiply(scratch, rows[p + 1], out=spare)  # L(m)
-            scratch *= rows[p]  # H(m)
-            l += spare
-            sums[row_bits, r] = np.subtract(h, spare, out=spare).sum()
-            h += scratch
-            # Each trailing set bit of done is a slot below whose row
-            # differs from this one in the next lower row bit.
-            bit = row_bits
-            while done & 1:
-                done >>= 1
-                slot -= 1
-                bit -= 1
-                sums[bit, slot_rows[slot]] = np.subtract(
-                    held[slot + 1], lacked[slot], out=spare).sum()
-                held[slot] += held[slot + 1]
-                lacked[slot] += lacked[slot + 1]
-        for b in range(row_bits + 1):
-            out[col_bits + b] = tree_sum(sums[b, : 1 << b])
-        # Row 0 now holds both tables summed over every row bit; the
-        # column bits fold it in place.
-        h, l = held[0], lacked[0]
-        for i in range(col_bits - 1, -1, -1):
-            step = 1 << i
-            out[i] = np.subtract(h[step : 2 * step], l[:step], out=spare[:step]).sum()
-            h[:step] += h[step : 2 * step]
-            l[:step] += l[step : 2 * step]
-    return phi
+    sums = np.empty((row_bits + 1, 1 << row_bits, classes))
+    phi = np.empty((classes, n), dtype=np.float64)
+    for done, r in enumerate(bit_reversed(row_bits).tolist()):
+        lo, hi = pairs(r)
+        if not done:
+            base = lo[:, :1].copy()
+        # The rows done before this one wait folded in one slot per set
+        # bit of done, so this one takes the slot above them.
+        slot = done.bit_count()
+        slot_rows[slot] = r
+        p = row_counts[r]
+        h, l = held[slot], lacked[slot]
+        # Bit n-1 on the two halves: the lower half's mask m has as many
+        # members as its row and column bits, the upper half's
+        # m + 2**(n-1) one more.
+        np.subtract(hi, base, out=l)
+        np.multiply(l, rows[p + 1], out=h)  # H(m + 2**(n-1))
+        l *= rows[p + 2]  # L(m + 2**(n-1))
+        np.subtract(lo, base, out=scratch)
+        np.multiply(scratch, rows[p + 1], out=spare)  # L(m)
+        scratch *= rows[p]  # H(m)
+        l += spare
+        sums[row_bits, r] = np.subtract(h, spare, out=spare).sum(axis=1)
+        h += scratch
+        # Each trailing set bit of done is a slot below whose row differs
+        # from this one in the next lower row bit.
+        bit = row_bits
+        while done & 1:
+            done >>= 1
+            slot -= 1
+            bit -= 1
+            sums[bit, slot_rows[slot]] = np.subtract(
+                held[slot + 1], lacked[slot], out=spare).sum(axis=1)
+            held[slot] += held[slot + 1]
+            lacked[slot] += lacked[slot + 1]
+    for b in range(row_bits + 1):
+        phi[:, col_bits + b] = tree_sum(sums[b, : 1 << b])
+    # Slot 0 now holds both tables summed over every row bit; the column
+    # bits fold it in place.
+    h, l = held[0], lacked[0]
+    for i in range(col_bits - 1, -1, -1):
+        step = 1 << i
+        phi[:, i] = np.subtract(
+            h[:, step : 2 * step], l[:, :step], out=spare[:, :step]).sum(axis=1)
+        h[:, :step] += h[:, step : 2 * step]
+        l[:, :step] += l[:, step : 2 * step]
+    return phi, base[:, 0]

@@ -2,16 +2,18 @@
 CLI flags override. Unknown keys are rejected so configs cannot drift.
 
 _TABLE names each key once, with its default, and a key takes its
-default's type (see _as); DEFAULTS is the table's defaults. Each builder
-casts the sections it reads, builds its specs from the values their fields
-name, and raises every failure as ConfigError (CLI exit code 2), naming
-the key where a value is of none of its types."""
+default's type (see _as); DEFAULTS is the table's defaults. load_config
+casts every section, whatever the command reads. Each builder casts the
+sections it reads, builds its specs from the values their fields name,
+and checks across fields. Every failure is a ConfigError (CLI exit code
+2), naming the key where a value is of none of its types."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,20 +120,25 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         cfg = _merge_strict(cfg, doc)
     if overrides:
         cfg = _merge_strict(cfg, overrides)
+    # Every section is cast at load, whatever the command reads, so every
+    # document that loads (and so every emitted config) loads again.
+    for name, keys in _TABLE.items():
+        if isinstance(keys, dict):
+            _section(cfg, name)
     return cfg
 
 
 def _as(kind: str, value):
     """value as kind: "int" is an integer, a float without a fractional part
-    or an integer string, never a bool; "float" is what float() takes; "str"
-    and "null" are themselves; "list of <kind>" casts each entry. Else
-    TypeError or ValueError."""
+    or an integer string, never a bool; "float" is what float() takes if
+    finite, never a bool; "str" and "null" are themselves; "list of <kind>"
+    casts each entry. Else TypeError or ValueError."""
     if kind.startswith("list of ") and isinstance(value, (list, tuple)):
         return tuple(_as(kind.removeprefix("list of "), v) for v in value)
     if kind == "null" and value is None or kind == "str" and isinstance(value, str):
         return value
-    if kind == "float":
-        return float(value)
+    if kind == "float" and not isinstance(value, bool) and math.isfinite(number := float(value)):
+        return number
     fractional = isinstance(value, float) and not value.is_integer()
     if kind == "int" and not isinstance(value, bool) and not fractional:
         return int(value)

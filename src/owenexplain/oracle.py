@@ -16,8 +16,11 @@ class-major dense table, filled once for every class, while value_batch
 looks each chunk of masks up in the memo's sorted mask index and
 evaluates only the misses.
 
-A ClassGame is read class-major instead: exact_shapley reads every
-class of its VectorGame's dense table, and exact_owen and
+A ClassGame is read class-major instead. exact_shapley folds every class
+of its VectorGame at once through _kernels.shapley_fold, from the source
+VectorGame.shapley_pairs gives: a game with no memoized coalition and no
+dense table streams its coalitions into the fold row pair by row pair
+and keeps no table; any other reads its dense table. exact_owen and
 group_uniform_shapley read every class at once through its VectorGame's
 ``values(masks)``. Each computes every class's attribution in one pass
 and keeps the rows on that VectorGame, under the checked partition for
@@ -42,7 +45,7 @@ from .masking import BoundMasker, MaskerSpec
 SHAPLEY_MAX_ATOMS = 20
 OWEN_MAX_GROUPS = 12
 OWEN_MAX_GROUP_SIZE = 12
-_CHUNK = 4096
+_CHUNK = 1 << _kernels.CHUNK_BITS  # masks per dense-fill and stream batch
 _FIRST_ROWS = 64
 
 
@@ -75,8 +78,8 @@ class VectorGame:
     memo holds the memoized coalitions in ascending order (int64 up to 63
     atoms, Python ints beyond) and memo_rows the table row of each, so
     len(memo) counts coalitions. Once dense_table has been built, every
-    lookup reads it instead and charges nothing. read evaluates
-    coalitions that are never asked for twice, outside the memo.
+    lookup reads it instead and charges nothing. read, and the Shapley
+    stream of shapley_pairs, evaluate coalitions outside the memo.
     """
 
     def __init__(
@@ -109,7 +112,8 @@ class VectorGame:
     @property
     def evals_used(self) -> int:
         """Coalitions evaluated: the memoized ones, the dense table's
-        others once it is built, and those read outside the memo."""
+        others once it is built, and those read or streamed outside the
+        memo."""
         return len(self.memo) + self._dense_evals + self._read_evals
 
     def read(self, bits_list, limit: int | None = None) -> np.ndarray:
@@ -163,7 +167,9 @@ class VectorGame:
     def dense_table(self) -> np.ndarray:
         """(num_classes, 2**n_atoms) outputs of every coalition, class-major:
         column r is the coalition whose members are the set bits of r, so
-        each class's values are one contiguous row.
+        each class's values are one contiguous row. It serves full_table,
+        and exact_shapley on a game with memoized coalitions; exact_shapley
+        on a fresh game streams instead (shapley_pairs).
 
         Built once, on the caller's thread, in ascending chunks of _CHUNK
         masks: memoized coalitions are copied in from the index, and each
@@ -212,6 +218,46 @@ class VectorGame:
         self._dense_evals = size - len(self.memo)
         self._dense = table
         return table
+
+    def shapley_pairs(self):
+        """The Shapley fold's source (_kernels.shapley_fold) over every
+        coalition of this game, for every class.
+
+        A game with no memoized coalition and no dense table streams: each
+        call evaluates one row pair's coalitions in aligned chunks of _CHUNK
+        masks (a row holds whole chunks, and below 13 atoms the pair is the
+        whole table), masked into one buffer through
+        BoundMasker.chunk_batch and each charged and evaluated as one
+        batch. These are the dense fill's batches, in the fold's row order,
+        and no table is kept: the evaluations count as read outside the
+        memo, a failure raises with every chunk fetched so far charged and
+        nothing memoized, and a later lookup evaluates again. Any other
+        game is read from dense_table.
+        """
+        n = self.n_atoms
+        if self._dense is not None or len(self.memo):
+            return _kernels.table_pairs(self.dense_table(), n)
+        col_bits = _kernels.row_split(n)[1]
+        width = 1 << col_bits
+        step = min(_CHUNK, 1 << n)
+        outputs = np.empty((self.model.num_classes, 2 * width), dtype=np.float64)
+        batch, held = None, 0  # the chunk buffer and the chunk it holds
+
+        def pairs(r):
+            nonlocal batch, held
+            for j in range(0, 2 * width, step):
+                # Column j of the pair is mask r * width + j of the lower
+                # half, or from width on its twin in the upper half.
+                start = (j >> col_bits << (n - 1)) | (r << col_bits) | (j & (width - 1))
+                if self.ledger is not None:
+                    self.ledger.charge(step, self.tag)
+                batch = self.masker.chunk_batch(start, step, batch, held)
+                held = start
+                outputs[:, j : j + step] = checked_outputs(self.model, batch).T
+                self._read_evals += step
+            return outputs[:, :width], outputs[:, width:]
+
+        return pairs
 
     def values(self, masks) -> np.ndarray:
         """(num_classes, len(masks)) outputs of the coalitions masks, as a
@@ -298,8 +344,8 @@ class TableGame:
 def exact_shapley(game) -> Attribution:
     """Exact Shapley values by full subset enumeration.
 
-    A ClassGame's values come from one kernel call over its VectorGame's
-    dense table, every class at once, kept on that VectorGame as the Owen
+    A ClassGame's values come from one kernel fold over its VectorGame's
+    shapley_pairs, every class at once, kept on that VectorGame as the Owen
     engines keep theirs (_class_major): a later call for any class of the
     game returns a copy of its row and charges nothing."""
     n = game.n_atoms
@@ -307,10 +353,11 @@ def exact_shapley(game) -> Attribution:
         raise ValueError(f"exact_shapley guard: {n} atoms > {SHAPLEY_MAX_ATOMS}")
     before = game.evals_used
     if isinstance(game, ClassGame):
-        shared, row = game.vector_game._attributions, game.class_index
+        vector_game, row = game.vector_game, game.class_index
+        shared = vector_game._attributions
         if ("exact_shapley",) not in shared:
-            table = game.vector_game.dense_table()
-            shared[("exact_shapley",)] = (_kernels.shapley_from_table(table, n), table[:, 0])
+            shared[("exact_shapley",)] = _kernels.shapley_fold(
+                vector_game.shapley_pairs(), n, vector_game.model.num_classes)
         values, base = shared[("exact_shapley",)]
     else:
         table = game.full_table()

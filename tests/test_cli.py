@@ -417,11 +417,19 @@ class TestConfigHandling:
         ("explain", {"victim": {"kind": "group_symmetric", "group_sizes": [5, 5]}},
          "group sizes must be positive and cover the input"),
         ("extract", {"topk": None}, "config section 'topk'"),
+        # Every section is cast at load, also one the command does not read,
+        # and a float key takes neither a bool nor a non-finite number.
+        ("explain", {"synthesis": {"schedule": 5}}, "config key 'synthesis.schedule'"),
+        ("explain", {"extraction": {"rounds": None}}, "config key 'extraction.rounds'"),
+        ("explain", {"victim": {"temperature": True}}, "config key 'victim.temperature'"),
+        ("extract", {"extraction": {"lr": "nan"}}, "config key 'extraction.lr'"),
+        ("synth", {"synthesis": {"alpha": float("inf")}}, "config key 'synthesis.alpha'"),
     ], ids=["num-classes-list", "victim-number", "input-shape-number", "group-sizes-number",
             "order", "max-evals-string", "rounds-null", "input-shape-zero", "clamp-short",
             "clamp-number", "schedule-number", "num-classes-fractional",
             "input-shape-fractional", "seed-fractional", "seed-bool", "dead-index",
-            "class-bias", "group-sizes", "topk-null"])
+            "class-bias", "group-sizes", "topk-null", "unread-schedule", "unread-rounds",
+            "temperature-bool", "lr-nan", "alpha-infinite"])
     def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc, message):
         cfg, out = tmp_path / "c.json", tmp_path / "o.out"
         cfg.write_text(json.dumps(doc))

@@ -1,16 +1,23 @@
 """exact_shapley's dense coalition table, and ClassGame.value_batch's
 read through the sorted mask index, against the walks they replaced.
 
-exact_shapley's reference is what it did before: every mask read in
+exact_shapley's reference, on a game it reads through
+VectorGame.dense_table, is what it did before: every mask read in
 ascending order through the dict memo (conftest.DictMemo), each chunk's
 misses charged, evaluated and memoized, then shapley_from_table on the
 class's column. value_batch's reference is the same dict memo walk. Each
 pair runs on twin games (same model, input, pre-memoized coalitions and
 budget) and must agree bit for bit, down to the model batches they send.
 A 17-atom fill is checked chunk by chunk against masked_batch.
+
+A game with no memoized coalition streams its Shapley values instead
+(VectorGame.shapley_pairs): it must send the fill's batches, byte for
+byte, in the kernel's row order, give the table path's bits, keep no
+table, and on a failure keep nothing but the charges of what it fetched.
 """
 
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DictMemo, RecordingModel, assert_index_matches
+from conftest import ChargeLog, DictMemo, RecordingModel, assert_index_matches
 
 from owenexplain import (
     BudgetExhausted,
@@ -32,11 +39,12 @@ from owenexplain import (
     make_victim,
     oracle,
 )
+from owenexplain import _kernels
 from owenexplain._kernels import shapley_from_table
 from owenexplain.oracle import ClassGame, VectorGame
 
 
-def twin(case, reference: bool = False, model_type=RecordingModel):
+def twin(case, reference: bool = False, model_type=RecordingModel, ledger_type=QueryLedger):
     """(game, model, ledger) with case's coalitions memoized one read each;
     under reference, game is a DictMemo of the VectorGame."""
     spec = VictimSpec(kind="linear_softmax", seed=case["seed"], num_classes=case["classes"],
@@ -44,7 +52,7 @@ def twin(case, reference: bool = False, model_type=RecordingModel):
     model = model_type(make_victim(spec))
     masker = MaskerSpec(grid=build_atom_grid((case["n"],), (1,)), fill="mean")
     x = make_rng(case["seed"]).uniform(0.0, 1.0, case["n"])
-    ledger = QueryLedger(budget=case["budget"])
+    ledger = ledger_type(budget=case["budget"])
     vector_game = VectorGame(model, x, masker, ledger, tag="oracle")
     game = DictMemo(vector_game) if reference else vector_game
     for bits in case["pre"]:
@@ -62,8 +70,12 @@ def reference_shapley(memo: DictMemo, class_index):
 
 
 def dense_shapley(game, class_index):
+    """exact_shapley through the dense table: a game with no memoized
+    coalition would stream instead (see the stream tests below)."""
+    before = game.evals_used
+    game.dense_table()
     attr = exact_shapley(ClassGame(game, class_index))
-    return attr.values.tobytes(), attr.base_value.hex(), attr.evals_used
+    return attr.values.tobytes(), attr.base_value.hex(), game.evals_used - before
 
 
 def every_class(engine, game, classes):
@@ -232,3 +244,92 @@ def test_fill_sends_its_chunks_in_order_from_the_callers_thread():
     assert len(model.batches) == 5
     assert ledger.evals_used == len(game.memo) == 5 * 4096
     assert game.memo.tolist() == list(range(5 * 4096))
+
+
+def stream_case(n: int, **given) -> dict:
+    return {"n": n, "classes": 4, "seed": 5, "pre": [], "budget": None, "fail_after": None} | given
+
+
+def every_shapley(game, classes: int) -> list:
+    attrs = [exact_shapley(ClassGame(game, c)) for c in range(classes)]
+    return [(a.values.tobytes(), a.base_value.hex()) for a in attrs]
+
+
+def row_order(n: int, step: int) -> list[int]:
+    """The chunk starts of an n-atom stream: rows in bit-reversed order,
+    each row's chunks in the lower half table, then its twin's in the
+    upper half, ascending."""
+    row_bits, col_bits = _kernels.row_split(n)
+    rank = {r: k for k, r in enumerate(_kernels.bit_reversed(row_bits).tolist())}
+    rows = (1 << row_bits) - 1
+    return sorted(range(0, 1 << n, step),
+                  key=lambda s: (rank[s >> col_bits & rows], s >> (n - 1), s))
+
+
+@pytest.mark.parametrize("n, chunk", [(17, 4096), (16, 4096), (13, 4096), (10, 4096),
+                                      (13, 64), (10, 1), (10, 2), (10, 64)])
+def test_stream_sends_the_fill_batches_in_row_order(n, chunk):
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        filled, fill_model, _ = twin(stream_case(n), model_type=LayoutLog)
+        filled.dense_table()
+        game, model, ledger = twin(stream_case(n), model_type=LayoutLog, ledger_type=ChargeLog)
+        got = every_shapley(game, 4)
+        step = min(chunk, 1 << n)
+        starts = row_order(n, step)
+        assert model.batches == [fill_model.batches[s // step] for s in starts]
+        assert model.strides == [fill_model.strides[s // step] for s in starts]
+        assert ledger.charges == [(step, "oracle")] * len(starts)
+        assert got == every_shapley(filled, 4)
+        assert game.evals_used == ledger.evals_used == 1 << n
+        # No table and no memo are kept: a later lookup evaluates again.
+        assert len(game.memo) == 0 and game._dense is None
+        table = ClassGame(game, 2).full_table()
+        assert table.tobytes() == filled.dense_table()[2].tobytes()
+        assert ledger.evals_used == 2 << n
+
+
+@pytest.mark.parametrize("error", [BudgetExhausted, ModelOutputError])
+@pytest.mark.parametrize("n, chunk, k", [(17, 4096, 0), (17, 4096, 5), (10, 64, 7), (10, 1, 300)])
+def test_failed_stream_keeps_only_its_charges(error, n, chunk, k):
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        fresh, fresh_model, _ = twin(stream_case(n))
+        expected = every_shapley(fresh, 4)
+        # Chunk k's charge fails, or its outputs are NaN after it is charged.
+        if error is BudgetExhausted:
+            game, model, ledger = twin(stream_case(n, budget=(k + 1) * chunk - 1))
+            fetched = k
+        else:
+            game, model, ledger = twin(stream_case(n, fail_after=k))
+            fetched = k + 1
+        with pytest.raises(error):
+            exact_shapley(ClassGame(game, 1))
+        assert model.batches == fresh_model.batches[:fetched]
+        assert ledger.evals_used == fetched * chunk
+        assert game.evals_used == k * chunk
+        assert len(game.memo) == 0 and game._dense is None
+        assert game._attributions == {}
+        # A retry streams every coalition again, with the same bits.
+        ledger.budget, model.fail_at = None, None
+        assert every_shapley(game, 4) == expected
+        assert ledger.evals_used == fetched * chunk + (1 << n)
+        assert model.batches[fetched:] == fresh_model.batches
+
+
+def test_stream_of_four_classes_at_20_atoms_keeps_no_table():
+    # The dense table would be 32 MB: 4 classes x 2**20 float64. The stream
+    # keeps the kernel's stack of rows, two rows of outputs and one chunk
+    # buffer, about 6 MB.
+    spec = VictimSpec(kind="linear_softmax", seed=3, num_classes=4, input_shape=(4, 5),
+                      weight_scale=3.0)
+    masker = MaskerSpec(grid=build_atom_grid((4, 5), (1, 1)), fill="blur")
+    x = make_rng(3).uniform(0.0, 1.0, 20)
+    game = VectorGame(make_victim(spec), x, masker)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        attrs = [exact_shapley(ClassGame(game, c)) for c in range(4)]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert [a.evals_used for a in attrs] == [1 << 20, 0, 0, 0]

@@ -527,8 +527,8 @@ class TestClassMajor:
 
     def test_shapley_classes_share_one_kernel_call(self):
         game = small_game(QueryLedger())
-        with mock.patch.object(oracle._kernels, "shapley_from_table",
-                               wraps=shapley_from_table) as kernel:
+        with mock.patch.object(oracle._kernels, "shapley_fold",
+                               wraps=oracle._kernels.shapley_fold) as kernel:
             got = [exact_shapley(ClassGame(game, c)) for c in (2, 0, 1)]
         assert kernel.call_count == 1
         assert [a.evals_used for a in got] == [1 << 12, 0, 0]
