@@ -4,7 +4,7 @@ deterministic seeding.
 Shapes are plain tuples of positive ints; tensors are flat row-major
 float64 numpy arrays whose length matches the shape product. A coalition
 is a plain int mask over atom indices (bit i set means atom i is
-present), which is what keys every memo table in the package.
+present).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ atoms, into a concrete model input.
 Cells of inactive atoms are replaced by a fill reference computed once
 from the original input (Gaussian blur of the whole tensor, a fixed
 baseline tensor, or the scalar mean). Computing the reference from the
-original input, never from partially masked tensors, is what makes
-coalition-keyed memoization sound.
+original input, never from partially masked tensors, is what makes a
+coalition's output the same whenever it is read, so it is read once.
 
 The exact-Shapley dense fill masks every coalition in aligned chunks of
 2**k masks, which share every bit from k up, so one chunk's batch differs

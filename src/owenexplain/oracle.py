@@ -10,19 +10,21 @@ exact_shapley reads ``full_table()``, the 2**n values indexed by mask,
 and nothing else; exact_owen and group_uniform_shapley call only
 ``value_batch(masks)``. A mask is a plain int whose bit i marks atom i;
 batches are int64 arrays up to 63 atoms and object arrays of Python ints
-beyond. The masked model game below builds all of it from a model, an
-input and a masker: its full table is a row of the shared VectorGame's
-class-major dense table, filled once for every class, while value_batch
-looks each chunk of masks up in the memo's sorted mask index and
-evaluates only the misses.
+beyond. The Owen engines plan their reads from the partition alone: each
+distinct coalition is read once, in ascending chunks of _CHUNK masks, and
+a coalition that two groups' batches share is taken from the first
+group's values. The masked model game below builds all of it from a
+model, an input and a masker and keeps no memo: value_batch evaluates
+and charges every mask it is given, and the full table is a row of the
+shared VectorGame's class-major dense table, filled once for every
+class.
 
 A ClassGame is read class-major instead. exact_shapley folds every class
-of its VectorGame at once through _kernels.shapley_fold, from the source
-VectorGame.shapley_pairs gives: a game with no memoized coalition and no
-dense table streams its coalitions into the fold row pair by row pair
-and keeps no table; any other reads its dense table. exact_owen and
-group_uniform_shapley read every class at once through its VectorGame's
-``values(masks)``. Each computes every class's attribution in one pass
+of its VectorGame at once through _kernels.shapley_fold, streaming the
+game's coalitions into the fold row pair by row pair
+(VectorGame.shapley_pairs) with no table kept. exact_owen and
+group_uniform_shapley read every class at once through
+VectorGame.read. Each computes every class's attribution in one pass
 and keeps the rows on that VectorGame, under the checked partition for
 the Owen engines. A later call for any class of the same game (and
 partition) returns a copy of its row, charges nothing and reports
@@ -45,8 +47,7 @@ from .masking import BoundMasker, MaskerSpec
 SHAPLEY_MAX_ATOMS = 20
 OWEN_MAX_GROUPS = 12
 OWEN_MAX_GROUP_SIZE = 12
-_CHUNK = 1 << _kernels.CHUNK_BITS  # masks per dense-fill and stream batch
-_FIRST_ROWS = 64
+_CHUNK = 1 << _kernels.CHUNK_BITS  # masks per dense-fill, stream and Owen batch
 
 
 @dataclass
@@ -69,17 +70,14 @@ class Attribution:
 
 
 class VectorGame:
-    """Memoized coalition -> probability-vector game.
+    """Coalition -> probability-vector game, with no memo.
 
-    A memo hit is free; a miss charges the ledger exactly one evaluation.
-    One instance serves every class of an explanation, so multi-class
-    attributions share a single evaluation stream. Outputs are rows of one
-    growing (rows, num_classes) table. The memo is a sorted mask index:
-    memo holds the memoized coalitions in ascending order (int64 up to 63
-    atoms, Python ints beyond) and memo_rows the table row of each, so
-    len(memo) counts coalitions. Once dense_table has been built, every
-    lookup reads it instead and charges nothing. read, and the Shapley
-    stream of shapley_pairs, evaluate coalitions outside the memo.
+    Every coalition read is charged to the ledger and evaluated, once per
+    read: the callers ask for each coalition once. One instance serves
+    every class of an explanation, so multi-class attributions share a
+    single evaluation stream. The dense table, once built, is kept for
+    full_table; nothing else is cached but the class-major engines'
+    attributions. evals_used counts every coalition evaluated.
     """
 
     def __init__(
@@ -98,124 +96,73 @@ class VectorGame:
         self.tag = tag
         self.n_atoms = masker.grid.atom_count
         self.full_bits = (1 << self.n_atoms) - 1
-        self.memo = np.empty(0, dtype=_mask_dtype(self.n_atoms))
-        self.memo_rows = np.empty(0, dtype=np.intp)
-        self._table = np.empty((_FIRST_ROWS, model.num_classes), dtype=np.float64)
+        self.evals_used = 0
+        # Always empty: only perfbench/tracing.py reads it, for
+        # oracle.memo_entries.
+        self.memo = ()
         self._dense: np.ndarray | None = None
-        self._dense_evals = 0
-        self._read_evals = 0
         # (engine, partition), or (engine,) for exact_shapley -> (per-class
         # values, per-class base values) of the class-major engines, shared
         # by every ClassGame.
         self._attributions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    @property
-    def evals_used(self) -> int:
-        """Coalitions evaluated: the memoized ones, the dense table's
-        others once it is built, and those read or streamed outside the
-        memo."""
-        return len(self.memo) + self._dense_evals + self._read_evals
-
-    def read(self, bits_list, limit: int | None = None) -> np.ndarray:
-        """(len(bits_list), num_classes) outputs of the coalitions
-        bits_list, charged as one ledger charge and evaluated as one
-        checked model batch, without the memo: the caller asks for each
-        coalition once.
+    def read(self, masks, limit: int | None = None) -> np.ndarray:
+        """(len(masks), num_classes) outputs of the coalitions masks,
+        charged as one ledger charge and evaluated as one checked model
+        batch.
 
         Raises BudgetExhausted, charging and evaluating nothing, if they
         number more than limit or than the ledger has left.
         """
-        if limit is not None and len(bits_list) > limit:
-            raise BudgetExhausted(f"{len(bits_list)} coalitions exceed the limit of {limit}")
+        if limit is not None and len(masks) > limit:
+            raise BudgetExhausted(f"{len(masks)} coalitions exceed the limit of {limit}")
         if self.ledger is not None:
-            self.ledger.charge(len(bits_list), self.tag)
-        outputs = checked_outputs(self.model, self.masker.masked_batch(bits_list))
-        self._read_evals += len(bits_list)
+            self.ledger.charge(len(masks), self.tag)
+        outputs = self.evaluate_misses(masks)
+        self.evals_used += len(masks)
         return outputs
 
-    def evaluate_misses(self, miss_list, memoize: bool = True) -> np.ndarray:
-        """Evaluate distinct coalitions assumed already charged to the
-        ledger and not memoized, and return their (len(miss_list),
-        num_classes) outputs, memoized unless memoize is False. miss_list
-        holds masks, as a list or an array.
+    def evaluate_misses(self, masks) -> np.ndarray:
+        """(len(masks), num_classes) outputs of the coalitions masks, as
+        one checked model batch that the caller charges and counts. masks
+        is a list or an array. perfbench/tracing.py patches it by name.
 
-        Raises ModelOutputError, and memoizes nothing, if the model's
-        outputs are mis-shaped or not finite.
+        Raises ModelOutputError if the model's outputs are mis-shaped or
+        not finite.
         """
-        if not len(miss_list):
-            return np.empty((0, self.model.num_classes), dtype=np.float64)
-        outputs = checked_outputs(self.model, self.masker.masked_batch(miss_list))
-        if memoize:
-            self._store(miss_list, outputs)
-        return outputs
-
-    def _store(self, masks: np.ndarray, outputs: np.ndarray) -> None:
-        """Memoize evaluated coalitions as the next rows of the table, and
-        merge them into the index."""
-        masks = np.asarray(masks, dtype=self.memo.dtype)
-        start, stop = len(self.memo), len(self.memo) + len(masks)
-        if stop > len(self._table):
-            grown = np.empty((max(stop, 2 * len(self._table)), outputs.shape[1]), dtype=np.float64)
-            grown[:start] = self._table[:start]
-            self._table = grown
-        self._table[start:stop] = outputs
-        order = np.argsort(masks)
-        at = np.searchsorted(self.memo, masks[order])
-        self.memo = np.insert(self.memo, at, masks[order])
-        self.memo_rows = np.insert(self.memo_rows, at, start + order)
+        return checked_outputs(self.model, self.masker.masked_batch(masks))
 
     def dense_table(self) -> np.ndarray:
         """(num_classes, 2**n_atoms) outputs of every coalition, class-major:
         column r is the coalition whose members are the set bits of r, so
-        each class's values are one contiguous row. It serves full_table,
-        and exact_shapley on a game with memoized coalitions; exact_shapley
-        on a fresh game streams instead (shapley_pairs).
+        each class's values are one contiguous row. It serves full_table.
 
         Built once, on the caller's thread, in ascending chunks of _CHUNK
-        masks: memoized coalitions are copied in from the index, and each
-        chunk's others are charged and evaluated as one batch, the batches
-        the memo path would send. None is added to the memo. _CHUNK and the
+        masks, each charged and evaluated as one batch. _CHUNK and the
         table's size are powers of two, so every chunk is aligned to its
-        length, and the memoized coalitions of each are counted once up
-        front: a chunk with no memoized coalition is masked into one buffer
-        through BoundMasker.chunk_batch, which rewrites only the cells of
-        atoms whose bit changed since the last such chunk, and its outputs
-        are copied into the table before the buffer is rewritten. A softmax
-        victim's outputs are the (rows, classes) view of a class-major
-        array, so each class's copy is one contiguous row. If a
-        chunk's charge or evaluation fails, only the chunks below it have
-        been charged: their coalitions are memoized, as the memo path would
-        have memoized them, the error is raised and no table is kept.
+        length: the chunks are masked into one buffer through
+        BoundMasker.chunk_batch, which rewrites only the cells of atoms
+        whose bit changed since the last chunk, and each chunk's outputs
+        are copied into the table before the buffer is rewritten. A
+        softmax victim's outputs are the (rows, classes) view of a
+        class-major array, so each class's copy is one contiguous row. If
+        a chunk's charge or evaluation fails, the error is raised with the
+        chunks below it charged, and no table is kept.
         """
         if self._dense is not None:
             return self._dense
         if self.n_atoms > SHAPLEY_MAX_ATOMS:
             raise ValueError(f"dense table guard: {self.n_atoms} atoms > {SHAPLEY_MAX_ATOMS}")
         size = 1 << self.n_atoms
+        step = min(_CHUNK, size)
         table = np.empty((self.model.num_classes, size), dtype=np.float64)
-        known = np.zeros(size, dtype=bool)
-        known[self.memo] = True
-        table[:, self.memo] = self._table[self.memo_rows].T
-        memoized = np.bincount(self.memo // _CHUNK, minlength=-(-size // _CHUNK))
-        batch, held = None, 0  # the chunk buffer and the chunk it holds
-        try:
-            for start in range(0, size, _CHUNK):
-                stop = min(start + _CHUNK, size)
-                misses = stop - start - int(memoized[start // _CHUNK])
-                if misses and self.ledger is not None:
-                    self.ledger.charge(misses, self.tag)
-                if misses == stop - start:
-                    batch = self.masker.chunk_batch(start, misses, batch, held)
-                    held = start
-                    table[:, start:stop] = checked_outputs(self.model, batch).T
-                elif misses:
-                    miss = np.flatnonzero(~known[start:stop]) + start
-                    table[:, miss] = self.evaluate_misses(miss, memoize=False).T
-        except BaseException:
-            fresh = np.flatnonzero(~known[:start])
-            self._store(fresh, table[:, fresh].T)
-            raise
-        self._dense_evals = size - len(self.memo)
+        batch = None  # the chunk buffer
+        for start in range(0, size, step):
+            if self.ledger is not None:
+                self.ledger.charge(step, self.tag)
+            batch = self.masker.chunk_batch(start, step, batch, start - step)
+            table[:, start : start + step] = checked_outputs(self.model, batch).T
+            self.evals_used += step
         self._dense = table
         return table
 
@@ -223,20 +170,16 @@ class VectorGame:
         """The Shapley fold's source (_kernels.shapley_fold) over every
         coalition of this game, for every class.
 
-        A game with no memoized coalition and no dense table streams: each
-        call evaluates one row pair's coalitions in aligned chunks of _CHUNK
-        masks (a row holds whole chunks, and below 13 atoms the pair is the
-        whole table), masked into one buffer through
+        Each call evaluates one row pair's coalitions in aligned chunks of
+        _CHUNK masks (a row holds whole chunks, and below 13 atoms the pair
+        is the whole table), masked into one buffer through
         BoundMasker.chunk_batch and each charged and evaluated as one
         batch. These are the dense fill's batches, in the fold's row order,
-        and no table is kept: the evaluations count as read outside the
-        memo, a failure raises with every chunk fetched so far charged and
-        nothing memoized, and a later lookup evaluates again. Any other
-        game is read from dense_table.
+        and no table is kept, not even after a fill: a failure raises with
+        every chunk fetched so far charged, and a later read evaluates
+        again.
         """
         n = self.n_atoms
-        if self._dense is not None or len(self.memo):
-            return _kernels.table_pairs(self.dense_table(), n)
         col_bits = _kernels.row_split(n)[1]
         width = 1 << col_bits
         step = min(_CHUNK, 1 << n)
@@ -254,45 +197,10 @@ class VectorGame:
                 batch = self.masker.chunk_batch(start, step, batch, held)
                 held = start
                 outputs[:, j : j + step] = checked_outputs(self.model, batch).T
-                self._read_evals += step
+                self.evals_used += step
             return outputs[:, :width], outputs[:, width:]
 
         return pairs
-
-    def values(self, masks) -> np.ndarray:
-        """(num_classes, len(masks)) outputs of the coalitions masks, as a
-        new class-major array.
-
-        Masks are read in chunks of _CHUNK, each looked up in the index
-        with one searchsorted. A chunk that is not all memoized has its
-        distinct misses charged and evaluated as one batch, in first-seen
-        order, and merged into the index before it is read.
-        """
-        if self._dense is not None:
-            return np.take(self._dense, np.asarray(masks, dtype=np.intp), axis=1)
-        masks = np.asarray(masks, dtype=self.memo.dtype)
-        out = np.empty((self.model.num_classes, len(masks)), dtype=np.float64)
-        for start in range(0, len(masks), _CHUNK):
-            chunk = masks[start : start + _CHUNK]
-            rows = np.zeros(len(chunk), dtype=np.intp)
-            known = np.zeros(len(chunk), dtype=bool)
-            if len(self.memo):
-                at = np.searchsorted(self.memo, chunk)
-                known = self.memo.take(at, mode="clip") == chunk
-                rows = self.memo_rows.take(at, mode="clip")
-            if not known.all():
-                miss, first, inverse = np.unique(
-                    chunk[~known], return_index=True, return_inverse=True)
-                seen = np.argsort(first)
-                if self.ledger is not None:
-                    self.ledger.charge(len(miss), self.tag)
-                # Misses take the next table rows, in first-seen order.
-                fresh = np.empty_like(seen)
-                fresh[seen] = np.arange(len(self.memo), len(self.memo) + len(seen))
-                self.evaluate_misses(miss[seen])
-                rows[~known] = fresh[inverse]
-            out[:, start : start + len(chunk)] = self._table[rows].T
-        return out
 
 
 class ClassGame:
@@ -309,8 +217,10 @@ class ClassGame:
     def evals_used(self) -> int:
         return self.vector_game.evals_used
 
-    def value_batch(self, masks: np.ndarray) -> np.ndarray:
-        return self.vector_game.values(masks)[self.class_index]
+    def value_batch(self, masks) -> np.ndarray:
+        """This class's value of the coalitions masks: one read of the
+        VectorGame, charged and evaluated on every call."""
+        return self.vector_game.read(masks)[:, self.class_index]
 
     def full_table(self) -> np.ndarray:
         """This class's value of every coalition, indexed by mask, as a
@@ -409,10 +319,10 @@ def _class_major(game, method: str, partition, engine) -> Attribution:
     returns (classes, n_atoms) values and (classes,) base values, reading
     the game only through read(masks) -> (classes, len(masks)).
 
-    A ClassGame is read every class at once through its VectorGame, and
-    the result is kept there under (method, groups): a later call for any
-    class of that game returns a copy of its row and charges nothing. Any
-    other game is one class, read through value_batch."""
+    A ClassGame is read every class at once through VectorGame.read, and
+    the result is kept on its VectorGame under (method, groups): a later
+    call for any class of that game returns a copy of its row and charges
+    nothing. Any other game is one class, read through value_batch."""
     groups = check_partition(partition, game.n_atoms)
     before = game.evals_used
     if isinstance(game, ClassGame):
@@ -420,8 +330,8 @@ def _class_major(game, method: str, partition, engine) -> Attribution:
         shared = vector_game._attributions
         key = (method, tuple(map(tuple, groups)))
         if key not in shared:
-            shared[key] = engine(
-                vector_game.values, vector_game.model.num_classes, game.n_atoms, groups)
+            shared[key] = engine(lambda masks: vector_game.read(masks).T,
+                                 vector_game.model.num_classes, game.n_atoms, groups)
         values, base = shared[key]
     else:
         def read(masks):
@@ -449,7 +359,16 @@ def exact_owen(game, partition) -> Attribution:
 
 
 def _owen_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.ndarray]:
-    """exact_owen's values and base value of every class read returns."""
+    """exact_owen's values and base value of every class read returns.
+
+    Each group's batch is read in ascending chunks of _CHUNK masks, one
+    read per chunk of the masks no earlier group read. Those are known
+    from the partition: in group gi's batch every other group is wholly in
+    or out, so only a union of whole groups can appear in two batches, and
+    group 0's batch holds every such union. From group 1 on, the masks that
+    take none or all of the group are those unions, and they are taken
+    from group 0's values.
+    """
     m = len(groups)
     dtype = _mask_dtype(n)
     group_bits = [sum(1 << i for i in g) for g in groups]
@@ -464,8 +383,22 @@ def _owen_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.nda
         masks = (contexts[:, None] | subsets[None, :]).reshape(-1)
         # Every mask is distinct; the game sees them in ascending order.
         order = np.argsort(masks)
-        values = np.empty((classes, masks.size), dtype=np.float64)
-        values[:, order] = read(masks[order])
+        ascending = masks[order]
+        fresh = np.ones((len(contexts), len(subsets)), dtype=bool)
+        fresh[:, [0, -1]] = gi == 0
+        fresh = fresh.reshape(-1)[order]
+        got = np.empty((classes, masks.size), dtype=np.float64)
+        if gi == 0:
+            first, first_got = ascending, got
+        else:
+            known = np.flatnonzero(~fresh)
+            got[:, known] = first_got[:, np.searchsorted(first, ascending[known])]
+        for start in range(0, masks.size, _CHUNK):
+            chunk = np.flatnonzero(fresh[start : start + _CHUNK]) + start
+            if chunk.size:
+                got[:, chunk] = read(ascending[chunk])
+        values = np.empty_like(got)
+        values[:, order] = got
         # The whole group lacks no member, so its weight (0.0) is never read.
         inner_w = np.append(shapley_weights(len(members)), 0.0)
         weights = outer_w[q_sizes][:, None] * inner_w[s_sizes][None, :]
@@ -480,9 +413,8 @@ def _owen_values(read, classes: int, n: int, groups) -> tuple[np.ndarray, np.nda
             sums = np.cumsum(np.concatenate([np.zeros((classes, 1)), terms], axis=1), axis=1)
             phi[:, atom] = sums[:, -1]
 
-    # v(empty) is the first value of every group's batch, so a memoized
-    # game reads it without a charge.
-    return phi, read(np.zeros(1, dtype=dtype))[:, 0]
+    # v(empty) is the smallest mask of group 0's batch, read there.
+    return phi, first_got[:, 0]
 
 
 def group_uniform_shapley(game, partition) -> Attribution:

@@ -74,12 +74,11 @@ class ChargeLog(QueryLedger):
 
 
 class DictMemo:
-    """Reference for VectorGame.values before its sorted mask index: a
-    dict from each memoized mask to its output row, filled chunk by chunk.
-    Each chunk's distinct misses, in first-seen order, are charged to the
-    game's ledger and evaluated through game.evaluate_misses without
-    memoizing there, so the charges and model batches are the ones the
-    index must send."""
+    """Reference memo walk: a dict from each mask read to its output row,
+    filled chunk by chunk. Each chunk's distinct misses, in first-seen
+    order, are charged to the game's ledger and evaluated through
+    game.evaluate_misses, so the charges and model batches are the ones
+    a reader that asks for each coalition once must send."""
 
     def __init__(self, game):
         self.game = game
@@ -88,11 +87,6 @@ class DictMemo:
     @property
     def evals_used(self) -> int:
         return len(self.memo)
-
-    def table(self) -> np.ndarray:
-        """The memoized rows in the order they were evaluated."""
-        return np.array(list(self.memo.values()), dtype=np.float64).reshape(
-            len(self.memo), self.game.model.num_classes)
 
     def values(self, masks) -> np.ndarray:
         game, memo = self.game, self.memo
@@ -104,17 +98,9 @@ class DictMemo:
             if miss:
                 if game.ledger is not None:
                     game.ledger.charge(len(miss), game.tag)
-                memo.update(zip(miss, game.evaluate_misses(miss, memoize=False)))
+                memo.update(zip(miss, game.evaluate_misses(miss)))
             out[:, start : start + len(chunk)] = np.array([memo[bits] for bits in chunk]).T
         return out
-
-
-def assert_index_matches(game, reference: DictMemo) -> None:
-    """game's sorted mask index holds the reference's masks, each at the
-    table row of its evaluation order, with the same output bytes."""
-    assert game.memo.tolist() == sorted(reference.memo)
-    assert game.memo[np.argsort(game.memo_rows)].tolist() == list(reference.memo)
-    assert game._table[: len(game.memo)].tobytes() == reference.table().tobytes()
 
 
 @pytest.fixture

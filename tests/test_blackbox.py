@@ -24,7 +24,7 @@ from owenexplain import (
 )
 from owenexplain.extraction import SubstituteModel
 from owenexplain.objectives import ObjectiveWeights
-from owenexplain.oracle import VectorGame
+from owenexplain.oracle import ClassGame, VectorGame
 from owenexplain.synthesis import SearchParams, SynthConfig
 
 
@@ -420,10 +420,10 @@ class TestReadPath:
         with pytest.raises(ModelOutputError):
             game.read([0, game.full_bits])
         with pytest.raises(ModelOutputError):
-            game.values([0, game.full_bits])
+            ClassGame(game, 0).value_batch([0, game.full_bits])
         with pytest.raises(ModelOutputError):
             game.dense_table()
-        assert len(game.memo) == 0 and game.evals_used == 0
+        assert game.evals_used == 0
 
     @pytest.mark.parametrize("topk", BARE_AND_WRAPPED, ids=mode_id)
     def test_one_shape_and_one_finiteness_check_per_batch(self, topk):

@@ -301,18 +301,17 @@ def test_full_table_is_a_read_only_row_of_the_class_major_table():
     masker = MaskerSpec(grid=build_atom_grid((7,), (1,)), fill="mean")
     x = make_rng(4).uniform(0.0, 1.0, 7)
     game = VectorGame(make_victim(spec), x, masker)
-    # Reference: every coalition through the memo, read out as the
-    # per-class column copy the coalition-major table gave.
-    memo_game = VectorGame(make_victim(spec), x, masker)
+    # Reference: every coalition in one read (the fill's one chunk), each
+    # class's column copied out as the coalition-major table gave it.
     masks = list(range(1 << 7))
-    memo_game.values(masks)
+    expected = VectorGame(make_victim(spec), x, masker).read(masks)
     dense = game.dense_table()
     assert dense.shape == (3, 1 << 7)
     for c in range(3):
         table = ClassGame(game, c).full_table()
         assert table.flags.c_contiguous and not table.flags.writeable
         assert np.shares_memory(table, dense)
-        assert table.tobytes() == memo_game.values(masks)[c].tobytes()
+        assert table.tobytes() == expected[:, c].tobytes()
         with pytest.raises(ValueError):
             table[0] = 0.0
     assert dense.flags.writeable

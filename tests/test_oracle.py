@@ -1,6 +1,6 @@
+import hashlib
 import itertools
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +13,6 @@ from conftest import (
     DictMemo,
     RecordingModel,
     additive_game,
-    assert_index_matches,
     permutation_shapley,
     random_table_game,
     unanimity_game,
@@ -176,10 +175,15 @@ class TestExactOwen:
                 return super().value_batch(masks)
 
         exact_owen(Recording(72, seed=5), [list(range(g, 72, 9)) for g in range(9)])
-        assert len(batches) == 10  # one per group, then the empty coalition
-        for batch in batches[:9]:
-            assert len(batch) == 1 << 16
+        # One read per chunk of 4,096 masks that holds a mask no earlier
+        # group read: each group's 2**16 masks hold 16 chunks, and from the
+        # second group on, 2 * 2**8 of them are unions of whole groups that
+        # the first group read.
+        assert len(batches) == 9 * 16
+        for batch in batches:
             assert all(a < b for a, b in zip(batch, batch[1:]))
+        read = [bits for batch in batches for bits in batch]
+        assert len(set(read)) == len(read) == (1 << 16) + 8 * ((1 << 16) - (1 << 9))
 
     def test_rejects_bad_partitions(self):
         game = random_table_game(4, 0)
@@ -276,18 +280,21 @@ class TestAxioms:
 
 
 class TestMaskedGame:
-    def test_memo_hit_is_free(self):
+    def test_value_batch_charges_every_call(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
-        model = make_victim(spec)
+        model = RecordingModel(make_victim(spec))
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
-        ledger = QueryLedger()
+        ledger = ChargeLog()
         game = masked_game(model, make_rng(0).uniform(0, 1, 4), masker, 0, ledger=ledger)
-        game.value_batch([0b0101])
-        assert ledger.evals_used == 1
-        game.value_batch([0b0101])
-        assert ledger.evals_used == 1
-        game.value_batch([0b1111])
-        assert ledger.evals_used == 2
+        first = game.value_batch([0b0101])
+        assert ledger.evals_used == game.evals_used == 1
+        # No memo: the same coalition, or a repeated one, is charged and
+        # evaluated again, one read per call.
+        again = game.value_batch([0b0101, 0b0101, 0b1111])
+        assert ledger.charges == [(1, "oracle"), (3, "oracle")]
+        assert game.evals_used == 4 and len(model.batches) == 2
+        assert np.allclose(again[:2], first[0], rtol=0, atol=1e-12)
+        assert again.tobytes() == game.vector_game.read([5, 5, 15])[:, 0].tobytes()
 
     def test_read_charges_once_or_not_at_all(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
@@ -306,13 +313,10 @@ class TestMaskedGame:
         with pytest.raises(BudgetExhausted):
             vg.read([4, 8])
         assert ledger.evals_used == vg.evals_used == 2 and len(model.batches) == 1
-        # A read memoizes nothing: values charges its coalitions again, and
-        # its memo hits then cost nothing.
-        assert len(vg.memo) == 0
-        vg.values([2])
-        assert ledger.evals_used == vg.evals_used == 3
-        vg.values([2, 2])
+        # A read memoizes nothing: reading a coalition again charges again.
+        again = vg.read([2])
         assert ledger.evals_used == vg.evals_used == 3 and len(model.batches) == 2
+        assert np.allclose(again, out[1:], rtol=0, atol=1e-12)
 
     def test_vector_game_serves_all_classes(self):
         spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=4, input_shape=(4,))
@@ -320,7 +324,7 @@ class TestMaskedGame:
         masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
         ledger = QueryLedger()
         vg = VectorGame(model, make_rng(0).uniform(0, 1, 4), masker, ledger)
-        vec = vg.values([0b1100])[:, 0]
+        vec = vg.read([0b1100])[0]
         assert vec.shape == (4,)
         assert ledger.evals_used == 1
 
@@ -334,42 +338,12 @@ class TestMaskedGame:
         shap = exact_shapley(game)
         assert np.allclose(owen.values, shap.values, atol=1e-9)
 
-    def test_memo_counts_distinct_coalitions(self):
-        spec = VictimSpec(kind="linear_softmax", seed=2, num_classes=3, input_shape=(4,))
-        masker = MaskerSpec(grid=build_atom_grid((4,), (1,)), fill="mean")
-        ledger = QueryLedger()
-        vg = VectorGame(make_victim(spec), make_rng(0).uniform(0, 1, 4), masker, ledger)
-        ClassGame(vg, 0).value_batch(np.array([0, 5, 5, 3, 0, 15]))
-        vg.values([3])
-        assert len(vg.memo) == 4
-        assert vg.memo.tolist() == [0, 3, 5, 15] and vg.memo_rows.tolist() == [0, 2, 1, 3]
-        assert vg.evals_used == ledger.evals_used == 4
-
-    def test_memo_growth_keeps_earlier_rows_intact_and_read_only(self):
-        spec = VictimSpec(kind="linear_softmax", seed=6, num_classes=3, input_shape=(8,))
-        model = make_victim(spec)
-        masker = MaskerSpec(grid=build_atom_grid((8,), (1,)), fill="mean")
-        vg = VectorGame(model, make_rng(1).uniform(0, 1, 8), masker)
-        early = vg.values([0b1010_0101])
-        kept = early.copy()
-        # 256 coalitions, past the memo's first capacity
-        values = ClassGame(vg, 2).value_batch(np.arange(256))
-        assert len(vg.memo) == vg.evals_used == 256
-        assert np.array_equal(vg.values([0b1010_0101]), kept)
-        # Outputs are copies: writing to one leaves the memo as it was.
-        early[:] = 0.0
-        values_again = vg.values(np.arange(256))
-        assert np.array_equal(values_again[:, 0b1010_0101], kept[:, 0])
-        expected = model.evaluate(vg.masker.masked_batch(list(range(256))))
-        assert np.allclose(values_again.T, expected, rtol=0, atol=1e-12)
-        assert np.array_equal(values, values_again[2])
-
 
 class OneClassGame:
     """ClassGame as the engines read it one class at a time: it has only
     value_batch, so exact_owen and group_uniform_shapley take their
-    one-class path. Masks are read through a dict memo (DictMemo), so this
-    is also the reference for the sorted mask index."""
+    one-class path. Masks are read through the memo walk (DictMemo), so
+    this is also the reference for the Owen engines' read plan."""
 
     def __init__(self, memo: DictMemo, class_index: int):
         self.memo = memo
@@ -427,20 +401,32 @@ def loop_group_uniform(game, groups):
 LOOP_REFERENCE = {exact_owen: loop_owen, group_uniform_shapley: loop_group_uniform}
 
 
-# Owen partitions: 48 atoms in 8 groups of 6 (int64 masks), and 72 atoms
-# in 8 interleaved groups of 9, each with members in both 64-bit words
-# (object masks).
+# Owen partitions: 48 atoms in 8 groups of 6 (int64 masks), 72 atoms in 8
+# interleaved groups of 9, each with members in both 64-bit words (object
+# masks), and 12 atoms in uneven groups whose first and last are
+# singletons.
 CLASS_MAJOR_CASES = {
     48: ((6, 8), [[row * 8 + col for row in range(6)] for col in range(8)]),
     72: ((72,), [list(range(g, 72, 8)) for g in range(8)]),
+    12: ((12,), [[7], [0, 2, 4], [1, 3], [5, 6, 8, 9, 10], [11]]),
 }
+
+
+class DigestModel(RecordingModel):
+    """A RecordingModel that logs a SHA-256 digest of each batch, not its
+    bytes: a 72-atom Owen call sends about 300 MB of batches."""
+
+    def evaluate(self, batch):
+        out = super().evaluate(batch)
+        self.batches[-1] = hashlib.sha256(self.batches[-1]).digest()
+        return out
 
 
 def class_major_game(n: int, ledger: QueryLedger | None):
     shape, _ = CLASS_MAJOR_CASES[n]
     spec = VictimSpec(kind="linear_softmax", seed=n, num_classes=4, input_shape=shape,
                       weight_scale=3.0)
-    model = RecordingModel(make_victim(spec))
+    model = DigestModel(make_victim(spec))
     masker = MaskerSpec(grid=build_atom_grid(shape, (1,) * len(shape)), fill="blur")
     x = make_rng(n).uniform(0.0, 1.0, masker.grid.n_cells)
     return VectorGame(model, x, masker, ledger, tag="oracle"), model
@@ -463,7 +449,7 @@ class TestClassMajor:
 
     @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
     @pytest.mark.parametrize("ledger", [False, True])
-    @pytest.mark.parametrize("n", [48, 72])
+    @pytest.mark.parametrize("n", [12, 48, 72])
     def test_every_class_matches_the_one_class_path(self, n, ledger, engine):
         groups = CLASS_MAJOR_CASES[n][1]
         ref_game, ref_model = class_major_game(n, ChargeLog() if ledger else None)
@@ -478,13 +464,11 @@ class TestClassMajor:
         # The one-class path of the same engine gives the same bits.
         one_class = engine(OneClassGame(ref_memo, 3), groups)
         assert one_class.values.tobytes() == got[3].values.tobytes()
-        assert len(game.memo) > 0
-        assert_index_matches(game, ref_memo)
-        assert [a.evals_used for a in got] == [r[2] for r in ref] == [len(game.memo), 0, 0, 0]
+        assert [a.evals_used for a in got] == [r[2] for r in ref] == [game.evals_used, 0, 0, 0]
         assert Counter(model.batches) == Counter(ref_model.batches)
         if ledger:
             assert game.ledger.charges == ref_game.ledger.charges
-            assert game.ledger.evals_used == len(game.memo)
+            assert game.ledger.evals_used == game.evals_used
 
     @pytest.mark.parametrize("engine", [exact_owen, group_uniform_shapley])
     def test_returned_values_are_copies(self, engine):
@@ -504,7 +488,8 @@ class TestClassMajor:
         got = engine(ClassGame(game, 2), reordered)
         expected = engine(ClassGame(small_game(), 2), reordered)
         assert got.values.tobytes() == expected.values.tobytes()
-        assert got.evals_used == 0
+        # No memo: the reordered partition reads its coalitions again.
+        assert got.evals_used == expected.evals_used > 0
         assert len(game._attributions) == 2
         # Members listed in another order give the same checked partition.
         engine(ClassGame(game, 1), [g[::-1] for g in SMALL_GROUPS])
@@ -519,11 +504,12 @@ class TestClassMajor:
             engine(ClassGame(game, 0), SMALL_GROUPS)
         assert game._attributions == {}
         charged = ledger.evals_used
+        # A retry reads every coalition again.
         ledger.budget = None
         got = engine(ClassGame(game, 1), SMALL_GROUPS)
         assert got.values.tobytes() == expected.values.tobytes()
-        assert got.evals_used == expected.evals_used - charged
-        assert ledger.evals_used == expected.evals_used
+        assert got.evals_used == expected.evals_used
+        assert ledger.evals_used == charged + expected.evals_used
 
     def test_shapley_classes_share_one_kernel_call(self):
         game = small_game(QueryLedger())
@@ -550,97 +536,67 @@ class TestClassMajor:
         assert game._attributions == {}
 
 
-def index_twins(n: int, budget: int | None = None):
-    """Two twin n-atom games, each with a RecordingModel and a ChargeLog:
-    (game, model) and (DictMemo reference, its model)."""
-    games = []
-    for _ in range(2):
-        spec = VictimSpec(kind="linear_softmax", seed=n, num_classes=3, input_shape=(n,),
-                          weight_scale=3.0)
-        model = RecordingModel(make_victim(spec))
-        masker = MaskerSpec(grid=build_atom_grid((n,), (1,)), fill="blur")
-        x = make_rng(n).uniform(0.0, 1.0, n)
-        games.append((VectorGame(model, x, masker, ChargeLog(budget=budget), tag="oracle"),
-                      model))
-    (game, model), (ref_game, ref_model) = games
-    return game, model, DictMemo(ref_game), ref_model
+def residues(game, masks):
+    """Stands in for VectorGame.evaluate_misses: logs the masks of each
+    batch on the game's model and returns, for each mask, its residues
+    modulo four primes as the four classes' outputs."""
+    game.model.batches.append([int(bits) for bits in masks])
+    return np.array([[int(bits) % p for p in (101, 103, 107, 109)] for bits in masks],
+                    dtype=np.float64).reshape(len(masks), 4)
 
 
-def random_masks(n: int, pool: int, draws: int, seed: int) -> list[int]:
-    """draws masks of n atoms, each one of pool random masks, so most
-    masks repeat."""
-    rand = random.Random(seed)
-    distinct = [rand.getrandbits(n) for _ in range(pool)]
-    return [rand.choice(distinct) for _ in range(draws)]
+class TestOwenPlan:
+    """exact_owen reads each distinct coalition once, from a plan that the
+    partition fixes: its batches, in order, and its ledger charges are
+    those of the memo walk (DictMemo) over every group's ascending masks,
+    chunk by chunk. A model batch is the masked batch of its masks, so the
+    masks of each batch are compared; at 72 atoms a chunk of one mask
+    makes about 520,000 reads, too many to send through the model."""
 
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    @pytest.mark.parametrize("n", sorted(CLASS_MAJOR_CASES))
+    def test_reads_match_the_memo_walk(self, n, chunk):
+        groups = CLASS_MAJOR_CASES[n][1]
+        with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(
+                VectorGame, "evaluate_misses", residues):
+            ref_game, ref_model = class_major_game(n, ChargeLog())
+            values, base, used = loop_owen(OneClassGame(DictMemo(ref_game), 2), groups)
+            game, model = class_major_game(n, ChargeLog())
+            got = exact_owen(ClassGame(game, 2), groups)
+        assert got.values.tobytes() == values.tobytes()
+        assert got.base_value.hex() == base.hex()
+        assert model.batches == ref_model.batches
+        assert game.ledger.charges == ref_game.ledger.charges
+        assert got.evals_used == game.evals_used == game.ledger.evals_used == used
 
-# name -> (atoms, chunk, reads): each read is a list of masks, read in turn
-# by one game, so later reads start from a populated memo.
-INDEX_CASES = {
-    "repeats-within-and-across-chunks": (6, 4, [[5, 5, 3, 5, 9, 3, 3, 12, 9, 0, 5, 12, 63]]),
-    "populated-before-the-read": (6, 4, [[7, 1, 40], [40, 2, 7, 7, 2, 1, 33, 0, 2]]),
-    "all-hit-chunks": (6, 3, [[4, 8, 16], [16, 8, 4, 4, 4, 8]]),
-    "int64-masks": (48, oracle._CHUNK, [random_masks(48, 3000, 500, 1),
-                                        random_masks(48, 3000, 9000, 1)]),
-    "object-masks": (72, oracle._CHUNK, [random_masks(72, 3000, 500, 2),
-                                         random_masks(72, 3000, 9000, 2)]),
-}
-
-
-class TestSortedIndex:
-    """VectorGame.values through its sorted mask index against the dict
-    memo it replaced (DictMemo): the same outputs, charges, model batches
-    and evaluation counts, read after read."""
-
-    @pytest.mark.parametrize("name", sorted(INDEX_CASES))
-    def test_reads_match_the_dict_memo(self, name):
-        n, chunk, reads = INDEX_CASES[name]
-        dtype = _mask_dtype(n)
-        with mock.patch.object(oracle, "_CHUNK", chunk):
-            game, model, ref, ref_model = index_twins(n)
-            assert game.memo.dtype == dtype
-            for masks in reads:
-                got = game.values(np.array(masks, dtype=dtype))
-                assert got.tobytes() == ref.values(np.array(masks, dtype=dtype)).tobytes()
-                assert game.ledger.charges == ref.game.ledger.charges
-                assert model.batches == ref_model.batches
-                assert game.evals_used == ref.evals_used == game.ledger.evals_used
-                assert_index_matches(game, ref)
-            assert game.memo.dtype == dtype
-            # Every mask is memoized now: reading them all again is free.
-            calls = len(model.batches)
-            again = game.values(np.array(reads[-1], dtype=dtype))
-            assert again.tobytes() == got.tobytes()
-            assert len(model.batches) == calls and game.evals_used == ref.evals_used
-
-    @pytest.mark.parametrize("failing_chunk", [0, 1, 2, 3])
+    @pytest.mark.parametrize("failing_chunk", [0, 1, 3, 4, 11])
     def test_budget_exhausted_keeps_the_chunks_before_it(self, failing_chunk):
-        masks = [3, 5, 3, 9, 5, 17, 33, 9, 0, 3, 12, 48, 63, 62, 0, 1, 2, 2]
-        with mock.patch.object(oracle, "_CHUNK", 4):
-            # Chunks 0-3 of 4 masks each have at least two distinct misses,
-            # so one evaluation of room refuses the failing one.
-            before = len(set(masks[: 4 * failing_chunk]))
-            game, model, ref, ref_model = index_twins(6, before + 1)
-            for reader in (game.values, ref.values):
-                with pytest.raises(BudgetExhausted):
-                    reader(masks)
-            assert set(game.memo.tolist()) == set(masks[: 4 * failing_chunk])
+        # Chunks of 64 masks: one read for the first group, 2 for the
+        # second, 1 for the third, 8 for the fourth and none for the last
+        # singleton, whose masks are all unions of whole groups.
+        groups = CLASS_MAJOR_CASES[12][1]
+        with mock.patch.object(oracle, "_CHUNK", 64):
+            fresh, fresh_model = class_major_game(12, ChargeLog())
+            expected = exact_owen(ClassGame(fresh, 1), groups)
+            charges = fresh.ledger.charges
+            assert len(charges) == 12
+            before = sum(k for k, _ in charges[:failing_chunk])
+            game, model = class_major_game(12, ChargeLog(
+                budget=before + charges[failing_chunk][0] - 1))
+            with pytest.raises(BudgetExhausted):
+                exact_owen(ClassGame(game, 1), groups)
+            assert game.ledger.charges == charges[:failing_chunk]
+            assert model.batches == fresh_model.batches[:failing_chunk]
             assert game.evals_used == game.ledger.evals_used == before
-            assert game.ledger.charges == ref.game.ledger.charges
-            assert model.batches == ref_model.batches
-            assert_index_matches(game, ref)
-            # A retry charges only the chunks from the failing one on.
-            game.ledger.budget = ref.game.ledger.budget = None
-            charges = len(game.ledger.charges)
-            got = game.values(masks)
-            assert got.tobytes() == ref.values(masks).tobytes()
-            assert game.ledger.charges == ref.game.ledger.charges
-            assert len(game.ledger.charges) - charges == 5 - failing_chunk
-            assert game.ledger.evals_used == len(set(masks))
-            assert model.batches == ref_model.batches
-            assert game.evals_used == ref.evals_used == len(set(masks))
-            assert_index_matches(game, ref)
-            assert index_twins(6)[0].values(masks).tobytes() == got.tobytes()
+            assert game._attributions == {}
+            # A retry charges every chunk again, with the same bits.
+            game.ledger.budget = None
+            got = exact_owen(ClassGame(game, 1), groups)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.base_value.hex() == expected.base_value.hex()
+        assert got.evals_used == expected.evals_used
+        assert game.ledger.charges == charges[:failing_chunk] + charges
+        assert model.batches == fresh_model.batches[:failing_chunk] + fresh_model.batches
 
 
 class BrokenModel(Model):
@@ -666,7 +622,6 @@ class TestModelOutputChecks:
         vg = VectorGame(BrokenModel(fault), self.x, self.masker)
         with pytest.raises(ModelOutputError):
             exact_shapley(ClassGame(vg, 0))
-        assert len(vg.memo) == 0
         assert vg.evals_used == 0
 
     @pytest.mark.parametrize("fault", ["nan", "shape"])
